@@ -78,9 +78,10 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     ``--backend socket`` drives workers over TCP: give running worker
     addresses with ``--hosts``, or let ``--workers N`` spawn N local
     ``repro.sim.remote`` subprocesses (the CI multi-host smoke).  A lost
-    worker (e.g. one armed with ``--worker-fault drop-after=5``) prints
-    the shard-loss diagnostic snapshot and exits with code 3 within
-    ``--host-timeout`` seconds -- never a hang.
+    worker (e.g. one armed with ``--worker-fault drop-after=5``, or a
+    forked ``--backend process`` worker that dies) prints the shard-loss
+    diagnostic snapshot and exits with code 3 within ``--host-timeout``
+    seconds -- never a hang.
     """
     import argparse
     import json as _json
@@ -111,13 +112,11 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
                         "worker, e.g. drop-after=5 (see "
                         "repro.faults.parse_transport_fault_spec)")
     parser.add_argument("--host-timeout", type=float, default=10.0,
-                        help="declare a silent socket worker lost after "
-                        "this many seconds (default %(default)s)")
+                        help="declare a silent process or socket worker "
+                        "lost after this many seconds (default %(default)s)")
     parser.add_argument("--fence-impl",
                         choices=("incremental", "reference"),
                         default="incremental")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="disable batched cross-shard wire frames")
     parser.add_argument("--check", action="store_true",
                         help="also run single-process and require "
                         "bit-identical results")
@@ -146,13 +145,14 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     pool = None
     hosts = None
     transport = None
-    if args.backend == "socket":
+    if args.backend != "inline":
         from repro.netsim.transport import TransportOptions
 
         transport = TransportOptions(
             heartbeat_interval=min(0.5, args.host_timeout / 4.0),
             host_timeout=args.host_timeout,
         )
+    if args.backend == "socket":
         if args.hosts:
             hosts = [h.strip() for h in args.hosts.split(",") if h.strip()]
         else:
@@ -175,8 +175,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
                 assert_sharded_identical(
                     _app, args.ranks, args.shards, config=config,
                     app_args=app_args, sync=args.sync,
-                    backend=args.backend, batch=not args.no_batch,
-                    fence_impl=args.fence_impl,
+                    backend=args.backend, fence_impl=args.fence_impl,
                     hosts=hosts, transport=transport,
                 )
             except AssertionError as exc:
@@ -185,7 +184,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
             _single, result = run_sharded_pair(
                 _app, args.ranks, args.shards, config=config,
                 app_args=app_args, sync=args.sync, backend=args.backend,
-                batch=not args.no_batch, fence_impl=args.fence_impl,
+                fence_impl=args.fence_impl,
                 hosts=hosts, transport=transport,
             )
         else:
@@ -195,7 +194,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
                 _app, args.ranks, config=config, app_args=app_args,
                 label=f"halo.{args.ranks}", shards=args.shards,
                 shard_sync=args.sync, shard_backend=args.backend,
-                shard_batch=not args.no_batch,
                 shard_fence_impl=args.fence_impl,
                 shard_hosts=hosts, shard_transport=transport,
             )
@@ -216,7 +214,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
         "shards": args.shards,
         "sync": args.sync,
         "fence_impl": st["fence_impl"],
-        "batch": st["batch"],
         "checked": args.check,
         "events": st["events"],
         "rounds": st["rounds"],

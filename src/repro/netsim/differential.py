@@ -162,7 +162,6 @@ def run_sharded_pair(
     backend: str = "process",
     strategy: str = "contiguous",
     record_transfers: bool = False,
-    batch: bool = True,
     fence_impl: str = "incremental",
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
@@ -191,7 +190,7 @@ def run_sharded_pair(
         app_args=app_args, seed=seed, label=label,
         record_transfers=record_transfers,
         shards=shards, shard_sync=sync, shard_backend=backend,
-        shard_strategy=strategy, shard_batch=batch,
+        shard_strategy=strategy,
         shard_fence_impl=fence_impl,
         shard_hosts=hosts, shard_transport=transport,
     )

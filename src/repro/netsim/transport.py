@@ -1,11 +1,12 @@
-"""Length-prefixed TCP framing for the sharded engine's wire protocol.
+"""Length-prefixed socket framing for the sharded engine's wire protocol.
 
-The multi-host shard backend (``shard_backend="socket"``) moves the same
-command/reply tuples the fork backend sends over multiprocessing pipes --
-including the columnar :class:`repro.netsim.wire.Frame` batches -- across
-TCP instead.  A pipe delivers whole messages; a stream socket delivers
-*bytes*, in whatever chunks the kernel feels like.  This module owns
-that gap:
+Both out-of-process shard backends speak one protocol of pickled
+command/reply tuples, carrying cross-shard traffic as columnar
+:class:`repro.netsim.wire.Frame` batches: ``shard_backend="process"``
+over a ``socketpair`` to a forked worker, ``shard_backend="socket"``
+over TCP to a ``repro.sim.remote`` worker.  A stream socket delivers
+*bytes*, in whatever chunks the kernel feels like, not whole messages.
+This module owns that gap:
 
 * :func:`encode_message` / :class:`FrameDecoder`: every message is one
   ``!I`` length prefix plus a pickled payload.  The decoder is a pure
@@ -69,7 +70,7 @@ __all__ = [
 
 #: Bumped on any incompatible change to the command tuples or framing.
 #: The handshake rejects mismatches before any simulation state moves.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct("!I")
 #: Upper bound on one message's payload; a corrupt or hostile length
@@ -96,9 +97,9 @@ class HandshakeError(TransportError):
 
 @dataclasses.dataclass(frozen=True)
 class TransportOptions:
-    """Resilience knobs for the socket shard backend.
+    """Resilience knobs for the out-of-process shard backends.
 
-    ``connect_*`` governs the initial dial (exponential backoff with
+    ``connect_*`` governs the initial dial of a socket-backend worker (exponential backoff with
     seeded jitter between attempts).  ``heartbeat_interval`` is how often
     a worker emits liveness frames while serving a session (negotiated in
     the handshake, so the coordinator's value wins); ``host_timeout`` is

@@ -1,10 +1,11 @@
 """Batched binary frames for cross-shard channel traffic.
 
 The sharded engine's coordinator exchanges :class:`~repro.netsim.channel.
-ChannelMsg` lists with its workers over multiprocessing pipes.  Pickling
-each message individually (ten fields, a nested packet NamedTuple, a
-verdict tuple) dominates the pipe cost once thousands of ranks push
-thousands of messages per synchronization round.  This module coalesces
+ChannelMsg` lists with its workers over sockets
+(:mod:`repro.netsim.transport`).  Pickling each message individually (ten
+fields, a nested packet NamedTuple, a verdict tuple) dominates the
+transport cost once thousands of ranks push thousands of messages per
+synchronization round.  This module coalesces
 one round's message list into a single compact :class:`Frame`:
 
 * the hot class -- eager ``DELIVER`` messages carrying an
@@ -13,8 +14,8 @@ one round's message list into a single compact :class:`Frame`:
   the payload ``data`` field dedup-interned into a small value table
   (bounce-buffer keys repeat heavily, so the table stays tiny);
 * everything else (rendezvous control, RDMA placement/ACK/read traffic,
-  fault-verdict oddities) rides a plain ``rest`` tuple that the pipe's
-  own pickle handles -- correct for any payload, merely not accelerated.
+  fault-verdict oddities) rides a plain ``rest`` tuple that the
+  transport's own pickle handles -- correct for any payload, merely not accelerated.
 
 Decoding rebuilds every message *bit-exactly*: float columns are raw
 64-bit copies, ints are range-checked into fixed-width columns (an

@@ -172,7 +172,6 @@ def run_app(
     shard_strategy: str = "contiguous",
     shard_backend: str = "process",
     shard_partition: "list[list[int]] | None" = None,
-    shard_batch: bool = True,
     shard_fence_impl: str = "incremental",
     shard_hosts: "typing.Sequence | None" = None,
     shard_transport: "typing.Any | None" = None,
@@ -215,7 +214,7 @@ def run_app(
             telemetry=telemetry, metrics=metrics, watchdog=watchdog,
             sync=shard_sync, strategy=shard_strategy,
             backend=shard_backend, partition=shard_partition,
-            batch=shard_batch, fence_impl=shard_fence_impl,
+            fence_impl=shard_fence_impl,
             hosts=shard_hosts, transport=shard_transport,
             tracer=tracer,
         )

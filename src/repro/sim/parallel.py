@@ -58,10 +58,12 @@ import heapq
 import math
 import multiprocessing
 import random
+import socket
 import time
 import typing
 
 from repro.netsim import channel as _ch
+from repro.netsim import transport as _tp
 from repro.netsim import wire as _wire
 from repro.netsim.params import NetworkParams
 
@@ -77,7 +79,7 @@ class ShardError(RuntimeError):
 
 
 class ShardHostLost(ShardError):
-    """A socket shard worker died or went silent mid-run.
+    """An out-of-process shard worker died or went silent mid-run.
 
     Raised by the coordinator within ``host_timeout`` of the last frame
     from the lost worker (heartbeats count as frames), so the run
@@ -259,7 +261,11 @@ def _validate_partition(partition: list[list[int]], nprocs: int) -> None:
 
 @dataclasses.dataclass
 class _ShardTask:
-    """Everything one worker needs to build its slice of the job."""
+    """Everything one worker needs to build its slice of the job.
+
+    A process-backend worker inherits it through the fork; a socket
+    worker receives it pickled in the session's ``task`` frame.
+    """
 
     shard_id: int
     ranks: list[int]
@@ -276,10 +282,6 @@ class _ShardTask:
     #: Optional :meth:`repro.tracing.Tracer.child_wire` dict: the worker
     #: adopts it so its spans join the coordinator's trace.
     trace_wire: "dict | None" = None
-    #: Coalesce cross-shard message lists into columnar wire frames
-    #: (:mod:`repro.netsim.wire`) on the pipe, both directions.  Decoded
-    #: lists are bit-identical to the originals; only pickle cost changes.
-    batch: bool = True
 
 
 class _AdvanceReply(typing.NamedTuple):
@@ -320,7 +322,8 @@ class ShardWorker:
 
     Driven by a coordinator through :meth:`advance` grants; never runs
     past a fence it was not granted.  Usable in-process (``backend=
-    "inline"``) or inside a forked worker (``backend="process"``).
+    "inline"``) or inside a worker process serving the command loop of
+    :mod:`repro.sim.remote` (``backend="process"`` and ``"socket"``).
     """
 
     def __init__(self, task: _ShardTask) -> None:
@@ -488,37 +491,6 @@ class _InlineHandle:
         pass
 
 
-def _worker_main(conn, task: _ShardTask) -> None:
-    """Worker-process loop: build the shard, serve coordinator commands."""
-    try:
-        worker = ShardWorker(task)
-        batch = task.batch
-        conn.send(("ready", worker.next_event()))
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "advance":
-                msgs = _wire.unpack_frame(cmd[2]) if batch else cmd[2]
-                reply = worker.advance(cmd[1], msgs)
-                if batch:
-                    reply = reply._replace(msgs=_wire.pack_frame(reply.msgs))
-                conn.send(("reply", reply))
-            elif op == "finish":
-                conn.send(("result", worker.finish(cmd[1])))
-                return
-            else:  # "abort"
-                return
-    except BaseException:
-        import traceback
-
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
 def _mp_context():
     """Fork where available (no pickling of app/config), else spawn."""
     methods = multiprocessing.get_all_start_methods()
@@ -527,173 +499,112 @@ def _mp_context():
     )
 
 
-class _ProcHandle:
-    """Shard living in a worker process, driven over a pipe."""
-
-    #: No heartbeat machinery: a local child dying surfaces as EOFError
-    #: on the very next read, so the readiness loop never needs a poll
-    #: timeout (``None`` keeps ``mp_wait`` fully blocking).
-    poll_interval: "float | None" = None
-
-    def __init__(self, ctx, task: _ShardTask) -> None:
-        self.batch = task.batch
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(
-            target=_worker_main, args=(child, task), daemon=True
-        )
-        self.proc.start()
-        child.close()
-
-    @property
-    def waitable(self):
-        """What ``multiprocessing.connection.wait`` selects on."""
-        return self.conn
-
-    def begin(self) -> float:
-        return self._expect("ready")
-
-    def advance_async(self, fence: float, msgs: list) -> None:
-        if self.batch:
-            self.conn.send(("advance", fence, _wire.pack_frame(msgs)))
-        else:
-            self.conn.send(("advance", fence, msgs))
-
-    def collect(self) -> _AdvanceReply:
-        reply = self._expect("reply")
-        if self.batch:
-            reply = reply._replace(msgs=_wire.unpack_frame(reply.msgs))
-        return reply
-
-    def collect_ready(self) -> "_AdvanceReply | None":
-        # A readable pipe holds one whole reply (Connection framing), so
-        # the blocking collect returns promptly -- same semantics the
-        # null protocol always had on this backend.
-        return self.collect()
-
-    def check_alive(self) -> None:
-        pass
-
-    def finish(self, final_time: float) -> _ShardResult:
-        self.conn.send(("finish", final_time))
-        return self._expect("result")
-
-    def _expect(self, tag: str):
-        try:
-            msg = self.conn.recv()
-        except EOFError:
-            raise ShardError(
-                f"shard worker pid={self.proc.pid} died without a reply"
-            ) from None
-        if msg[0] == "error":
-            raise ShardError(f"shard worker failed:\n{msg[1]}")
-        if msg[0] != tag:
-            raise ShardError(f"protocol error: expected {tag!r}, got {msg[0]!r}")
-        return msg[1]
-
-    def close(self) -> None:
-        try:
-            self.conn.send(("abort",))
-        except (OSError, ValueError):
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():  # pragma: no cover - crash cleanup
-            self.proc.terminate()
-            self.proc.join()
-
-
 class _SocketHandle:
-    """Shard living on a (possibly remote) worker, driven over TCP.
+    """Shard living in another process, driven over a socket.
 
-    Same command protocol as :class:`_ProcHandle`; what is added is
-    liveness.  Every blocking receive is bounded by
-    ``options.host_timeout`` measured from the *last frame of any kind*
-    -- the worker's heartbeat thread keeps that clock moving while the
-    shard computes, so a long engine window does not read as death, but
-    a wedged or vanished host does, within the deadline.  EOF maps to an
-    immediate :class:`ShardHostLost` ("connection-lost"); silence maps
-    to one with "heartbeat-timeout".  The null protocol's readiness loop
-    uses :meth:`collect_ready`, which drains whatever bytes have arrived
+    The one handle of both out-of-process backends: :meth:`fork` starts
+    a local worker on one end of a ``socketpair`` (``backend="process"``)
+    and :meth:`dial` connects to a ``python -m repro.sim.remote`` worker
+    over TCP (``backend="socket"``).  Either worker serves the command
+    loop of :mod:`repro.sim.remote`, and either gets liveness checks.
+    Every blocking receive is bounded by ``options.host_timeout``
+    measured from the *last frame of any kind* -- the worker's heartbeat
+    thread keeps that clock moving while the shard computes, so a long
+    engine window does not read as death, but a wedged or vanished
+    worker does, within the deadline.  EOF maps to an immediate
+    :class:`ShardHostLost` ("connection-lost"); silence maps to one with
+    "heartbeat-timeout".  The null protocol's readiness loop uses
+    :meth:`collect_ready`, which drains whatever bytes have arrived
     without blocking -- a ready socket may hold only a heartbeat or half
     a reply.
     """
 
-    def __init__(self, task: _ShardTask, host: str, port: int,
-                 options) -> None:
-        from repro.netsim import transport as _tp
-
-        self._tp = _tp
-        self.batch = task.batch
+    def __init__(self, task: _ShardTask, sock: socket.socket, host: str,
+                 options, proc=None, connect_attempts: int = 0) -> None:
         self.shard_id = task.shard_id
         self.host = host
-        self.port = port
         self.options = options
-        #: Readiness-loop poll period: liveness is checked at least this
-        #: often while a shard is busy.
-        self.poll_interval = options.heartbeat_interval
+        #: The forked worker process (``None`` for a dialled worker).
+        self.proc = proc
+        self.connect_attempts = connect_attempts
         self.heartbeats = 0
         #: Columnar payload bytes (both directions) -- the simulation's
         #: own traffic, vs the stream's total byte counters.
         self.payload_bytes = 0
         self.events = 0
         self.busy = 0.0
+        self.stream = _tp.FrameStream(sock)
+
+    @classmethod
+    def fork(cls, ctx, task: _ShardTask, options,
+             inherited: "list[socket.socket]") -> "_SocketHandle":
+        """Start a local worker that inherits ``task`` through the fork.
+
+        ``inherited`` lists the coordinator-side sockets already open;
+        the child closes its copies of them (see
+        :func:`repro.sim.remote.serve_forked`).
+        """
+        from repro.sim.remote import serve_forked
+
+        ours, theirs = socket.socketpair()
+        proc = ctx.Process(
+            target=serve_forked,
+            args=(theirs, task, options.heartbeat_interval,
+                  inherited + [ours]),
+            daemon=True,
+        )
+        proc.start()
+        theirs.close()
+        return cls(task, ours, f"local pid {proc.pid}", options, proc=proc)
+
+    @classmethod
+    def dial(cls, task: _ShardTask, host: str, port: int,
+             options) -> "_SocketHandle":
+        """Connect to a running worker, handshake, and ship ``task``."""
         # Seeded jitter: the retry schedule is reproducible per
         # (run seed, shard), like every other RNG stream in repro.faults.
         rng = random.Random((task.seed << 8) ^ (task.shard_id + 1))
-        sock, self.connect_attempts = _tp.connect_with_retry(
-            host, port, options, rng)
-        self.stream = _tp.FrameStream(sock)
-        self.worker_meta = _tp.client_handshake(
-            self.stream,
+        sock, attempts = _tp.connect_with_retry(host, port, options, rng)
+        handle = cls(task, sock, f"{host}:{port}", options,
+                     connect_attempts=attempts)
+        _tp.client_handshake(
+            handle.stream,
             {
                 "shard": task.shard_id,
                 "label": task.label,
                 "nprocs": task.nprocs,
                 "ranks": list(task.ranks),
-                "batch": task.batch,
                 "heartbeat_interval": options.heartbeat_interval,
             },
             options.handshake_timeout,
         )
-        self._send(("task", task))
-
-    @property
-    def waitable(self):
-        """Raw socket for ``multiprocessing.connection.wait``."""
-        return self.stream.sock
+        handle._send(("task", task))
+        return handle
 
     def _lost(self, reason: str, detail: str) -> ShardHostLost:
-        where = f"{self.host}:{self.port}"
         return ShardHostLost(
-            f"shard {self.shard_id} worker {where} lost ({reason}): "
+            f"shard {self.shard_id} worker {self.host} lost ({reason}): "
             f"{detail}",
-            reason=reason, shard=self.shard_id, host=where,
+            reason=reason, shard=self.shard_id, host=self.host,
         )
 
     def _send(self, msg) -> None:
         try:
             self.stream.send(msg)
-        except self._tp.ConnectionLost as exc:
+        except _tp.ConnectionLost as exc:
             raise self._lost("connection-lost", str(exc)) from exc
 
     def begin(self) -> float:
         return self._expect("ready")
 
     def advance_async(self, fence: float, msgs: list) -> None:
-        if self.batch:
-            frame = _wire.pack_frame(msgs)
-            self.payload_bytes += _wire.frame_nbytes(frame)
-            self._send(("advance", fence, frame))
-        else:
-            self._send(("advance", fence, msgs))
+        frame = _wire.pack_frame(msgs)
+        self.payload_bytes += _wire.frame_nbytes(frame)
+        self._send(("advance", fence, frame))
 
     def _adopt_reply(self, reply: _AdvanceReply) -> _AdvanceReply:
-        if self.batch:
-            self.payload_bytes += _wire.frame_nbytes(reply.msgs)
-            reply = reply._replace(msgs=_wire.unpack_frame(reply.msgs))
+        self.payload_bytes += _wire.frame_nbytes(reply.msgs)
+        reply = reply._replace(msgs=_wire.unpack_frame(reply.msgs))
         self.events = reply.events
         self.busy = reply.busy
         return reply
@@ -702,11 +613,10 @@ class _SocketHandle:
         return self._adopt_reply(self._expect("reply"))
 
     def collect_ready(self) -> "_AdvanceReply | None":
-        tp = self._tp
         while True:
             try:
                 ok, msg = self.stream.try_recv()
-            except tp.ConnectionLost as exc:
+            except _tp.ConnectionLost as exc:
                 raise self._lost("connection-lost", str(exc)) from exc
             if not ok:
                 return None
@@ -734,7 +644,6 @@ class _SocketHandle:
         return self._expect("result")
 
     def _expect(self, tag: str):
-        tp = self._tp
         options = self.options
         stream = self.stream
         while True:
@@ -748,9 +657,9 @@ class _SocketHandle:
             try:
                 msg = stream.recv(
                     timeout=min(remaining, options.heartbeat_interval))
-            except tp.TransportTimeout:
+            except _tp.TransportTimeout:
                 continue
-            except tp.ConnectionLost as exc:
+            except _tp.ConnectionLost as exc:
                 raise self._lost("connection-lost", str(exc)) from exc
             op = msg[0]
             if op == "hb":
@@ -766,7 +675,7 @@ class _SocketHandle:
     def transport_stats(self) -> dict:
         stream = self.stream
         return {
-            "host": f"{self.host}:{self.port}",
+            "host": self.host,
             "connect_attempts": self.connect_attempts,
             "heartbeats": self.heartbeats,
             "frames_out": stream.frames_out,
@@ -782,6 +691,11 @@ class _SocketHandle:
         except Exception:
             pass
         self.stream.close()
+        if self.proc is not None:
+            self.proc.join(timeout=5)
+            if self.proc.is_alive():  # pragma: no cover - crash cleanup
+                self.proc.terminate()
+                self.proc.join()
 
 
 # -- coordinator -----------------------------------------------------------
@@ -833,12 +747,10 @@ class _Coordinator:
         n = len(handles)
         self.nshards = n
         #: Bound vectors, contiguous: ``[0:n)`` next pending event per
-        #: shard, ``[n:2n)`` earliest undelivered inbox message (inf when
-        #: empty), ``[2n:3n)`` earliest outstanding obligation horizon
-        #: (inf when none).
-        self._bounds = array.array(
-            "d", [h.begin() for h in handles] + [_INF] * (2 * n)
-        )
+        #: shard (filled in by :meth:`begin`), ``[n:2n)`` earliest
+        #: undelivered inbox message (inf when empty), ``[2n:3n)`` earliest
+        #: outstanding obligation horizon (inf when none).
+        self._bounds = array.array("d", [0.0] * n + [_INF] * (2 * n))
         self.inbox: list[list] = [[] for _ in range(n)]
         self.fences = [0.0] * n
         #: Outstanding placement-ACK obligations:
@@ -864,6 +776,11 @@ class _Coordinator:
         )
         #: Global last-event time seen so far (the finalize anchor).
         self.tail = 0.0
+
+    def begin(self) -> None:
+        """Wait for every shard to report ready with its first event."""
+        for i, h in enumerate(self.handles):
+            self._bounds[i] = h.begin()
 
     @property
     def next_event(self) -> "array.array":
@@ -1137,25 +1054,18 @@ def _coordinate_null(co: _Coordinator, tracer=None) -> None:
     the coordinator plays the role null messages play in CMB-style
     distributed simulations.
 
-    Works over any handle exposing ``waitable`` (a pipe or a raw socket
-    -- ``multiprocessing.connection.wait`` selects on both).  With pipe
-    handles the wait blocks indefinitely and a readable pipe always
-    yields a whole reply, exactly the old behavior.  Socket handles set
-    ``poll_interval``: the wait then times out at the heartbeat period
-    so liveness is re-checked between replies, a wake-up may carry only
-    a heartbeat (``collect_ready`` returns ``None``), and a shard gone
-    silent raises :class:`ShardHostLost` within ``host_timeout``.
+    Runs over :class:`_SocketHandle` shards: the wait times out at the
+    heartbeat period so liveness is re-checked between replies, a wake-up
+    may carry only a heartbeat (``collect_ready`` returns ``None``), and
+    a shard gone silent raises :class:`ShardHostLost` within
+    ``host_timeout``.
     """
     from multiprocessing.connection import wait as mp_wait
 
     handles = co.handles
     n = len(handles)
-    waitables = {id(h.waitable): i for i, h in enumerate(handles)}
-    poll: "float | None" = None
-    for h in handles:
-        hb = h.poll_interval
-        if hb is not None:
-            poll = hb if poll is None else min(poll, hb)
+    shard_of_sock = {h.stream.sock: i for i, h in enumerate(handles)}
+    poll = handles[0].options.heartbeat_interval
     if tracer is not None:
         ch_fence = tracer.channel("fences", "coord.fence")
         ch_disp = tracer.channel("dispatch", "coord.dispatch")
@@ -1193,22 +1103,21 @@ def _coordinate_null(co: _Coordinator, tracer=None) -> None:
                 raise ShardError("sync stalled: no shard can advance")
             continue
         tw = tracer.now() if tracer is not None else 0.0
-        ready = mp_wait([handles[i].waitable for i in busy], timeout=poll)
+        ready = mp_wait([handles[i].stream.sock for i in busy], timeout=poll)
         if tracer is not None:
             ch_wait.append(tw)
             ch_wait.append(tracer.now())
         absorbed = 0
-        for w in ready:
-            shard = waitables[id(w)]
+        for sock in ready:
+            shard = shard_of_sock[sock]
             reply = handles[shard].collect_ready()
             if reply is None:
                 continue
             co.absorb(shard, reply)
             busy.discard(shard)
             absorbed += 1
-        if poll is not None:
-            for i in tuple(busy):
-                handles[i].check_alive()
+        for i in tuple(busy):
+            handles[i].check_alive()
         if absorbed:
             co.rounds += 1
 
@@ -1255,23 +1164,21 @@ class ShardedFabricView:
 def _diagnose_host_loss(exc: ShardHostLost,
                         co: _Coordinator) -> ShardLossDiagnostic:
     """Freeze the coordinator's view of every shard at the loss point."""
-    fences = co.fences
-    shards = []
-    for i, h in enumerate(co.handles):
-        stats = (h.transport_stats()
-                 if hasattr(h, "transport_stats") else {})
-        shards.append({
+    shards = [
+        {
             "shard": i,
-            "host": stats.get("host", "local"),
+            "host": h.host,
             "next_event": co._bounds[i],
-            "fence": fences[i],
-            "events": getattr(h, "events", 0),
-            "busy_s": getattr(h, "busy", 0.0),
-            "heartbeats": stats.get("heartbeats", 0),
-            "frames_in": stats.get("frames_in", 0),
-            "frames_out": stats.get("frames_out", 0),
+            "fence": co.fences[i],
+            "events": h.events,
+            "busy_s": h.busy,
+            "heartbeats": h.heartbeats,
+            "frames_in": h.stream.frames_in,
+            "frames_out": h.stream.frames_out,
             "lost": i == exc.shard,
-        })
+        }
+        for i, h in enumerate(co.handles)
+    ]
     return ShardLossDiagnostic(
         reason=exc.reason or "host-loss",
         shard=exc.shard,
@@ -1305,7 +1212,6 @@ def run_app_sharded(
     partition: "list[list[int]] | None" = None,
     edges: "typing.Iterable[tuple] | None" = None,
     tracer: "typing.Any | None" = None,
-    batch: bool = True,
     fence_impl: str = "incremental",
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
@@ -1317,22 +1223,22 @@ def run_app_sharded(
     forced to ``"channel"``; results are bit-identical to a single-process
     channel run of the same seed.  ``backend="inline"`` keeps every shard
     in this process (deterministic and fast to spawn -- the default for
-    tests), ``"process"`` forks one worker per shard.  See the module
+    tests), ``"process"`` forks one worker per shard on one end of a
+    ``socketpair`` (spawn where fork is unavailable).  See the module
     docstring for the ``sync`` protocols.
 
     ``tracer`` (optional :class:`~repro.tracing.Tracer`) records
     coordinator phase spans (fence recompute, dispatch, reply wait,
     finalize) and per-shard ``shard.advance`` / ``shard.inject`` spans;
-    shard workers join the trace over the existing task pipe and their
+    shard workers join the trace through their task and their
     payloads are absorbed, so the merged Perfetto timeline shows one pid
     per shard.  Reports stay bit-identical with tracing off.
 
-    High-rank knobs: ``batch`` (default on) coalesces each round's
-    cross-shard message lists into columnar wire frames on the worker
-    pipes -- thousands of per-message pickles collapse to a handful of
-    ``struct`` calls, with decoded lists bit-identical to the originals
-    (no effect under ``backend="inline"``, which passes lists by
-    reference).  ``fence_impl`` selects the coordinator's fence math:
+    Out-of-process backends always ship each round's cross-shard message
+    lists as columnar wire frames (:mod:`repro.netsim.wire`) -- thousands
+    of per-message pickles collapse to a handful of ``struct`` calls,
+    with decoded lists bit-identical to the originals.  ``fence_impl``
+    selects the coordinator's fence math:
     ``"incremental"`` (default, O(shards) per round) or ``"reference"``
     (the O(shards²) nested-scan formulation, kept for differential tests
     and the before/after benchmark).  Both return identical floats.
@@ -1340,12 +1246,15 @@ def run_app_sharded(
     ``backend="socket"`` drives workers started elsewhere with
     ``python -m repro.sim.remote --listen`` (possibly on other hosts):
     ``hosts`` lists their ``"host:port"`` addresses, assigned to shards
-    round-robin, and ``transport`` (a
-    :class:`repro.netsim.transport.TransportOptions`) sets connect
-    retry/heartbeat/host-timeout policy.  Results stay bit-identical to
-    the other backends; a worker that dies or goes silent raises
+    round-robin.  ``transport`` (a
+    :class:`repro.netsim.transport.TransportOptions`) sets the
+    heartbeat/host-timeout policy of both out-of-process backends, and
+    the connect retries of ``"socket"``.  Results stay bit-identical to
+    the inline backend; a worker that dies or goes silent raises
     :class:`ShardHostLost` (with a :class:`ShardLossDiagnostic` and a
-    partial report attached) within ``host_timeout`` instead of hanging.
+    partial report attached) within ``host_timeout`` instead of hanging,
+    while a Python error inside a worker raises a plain
+    :class:`ShardError` carrying the worker's traceback.
     """
     from repro.mpisim.config import MpiConfig
     from repro.runtime.launcher import RunResult, default_xfer_table
@@ -1402,21 +1311,23 @@ def run_app_sharded(
             record_transfers=record_transfers,
             trace_wire=(tracer.child_wire(f"shard {s}")
                         if tracer is not None else None),
-            batch=batch,
         )
         for s, ranks in enumerate(partition)
     ]
 
+    opts = transport or _tp.TransportOptions()
     handles: list = []
     results: list[_ShardResult] = []
     t0 = time.perf_counter()
     try:
         if backend == "inline":
             handles = [_InlineHandle(task) for task in tasks]
-        elif backend == "socket":
-            from repro.netsim import transport as _tp
-
-            opts = transport or _tp.TransportOptions()
+        elif backend == "process":
+            ctx = _mp_context()
+            for task in tasks:
+                handles.append(_SocketHandle.fork(
+                    ctx, task, opts, [h.stream.sock for h in handles]))
+        else:
             targets = [
                 _tp.parse_hostport(h) if isinstance(h, str)
                 else (str(h[0]), int(h[1]))
@@ -1425,18 +1336,16 @@ def run_app_sharded(
             for i, task in enumerate(tasks):
                 host, port = targets[i % len(targets)]
                 try:
-                    handles.append(_SocketHandle(task, host, port, opts))
+                    handles.append(_SocketHandle.dial(task, host, port, opts))
                 except _tp.TransportError as exc:
                     raise ShardError(
                         f"shard {i} worker {host}:{port}: {exc}"
                     ) from exc
-        else:
-            ctx = _mp_context()
-            handles = [_ProcHandle(ctx, task) for task in tasks]
         co = _Coordinator(handles, shard_of, params, la,
                           fence_impl=fence_impl)
         try:
-            if sync == "null" and backend in ("process", "socket"):
+            co.begin()
+            if sync == "null" and backend != "inline":
                 _coordinate_null(co, tracer)
             else:
                 # The inline backend steps shards sequentially, so barrier
@@ -1467,7 +1376,7 @@ def run_app_sharded(
     compute_logs: list = [[] for _ in range(nprocs)]
     transfer_log: "list | None" = [] if record_transfers else None
     tstats = ([h.transport_stats() for h in handles]
-              if backend == "socket" else None)
+              if backend != "inline" else None)
     shard_stats = []
     for res in results:
         for rank in res.ranks:
@@ -1525,7 +1434,6 @@ def run_app_sharded(
         "host_elapsed_s": host_elapsed,
         "events": sum(res.events for res in results),
         "busy_s": [res.busy for res in results],
-        "batch": batch,
         "fence_impl": fence_impl,
         "fence_recomputes": co.fence_recomputes,
     }

@@ -1,11 +1,13 @@
-"""Standalone shard-worker bootstrap for the socket backend.
+"""Shard workers: the one command loop every out-of-process shard runs.
 
 ``python -m repro.sim.remote --listen HOST:PORT`` turns a host into a
 shard worker pool: the coordinator (``run_app_sharded(...,
 backend="socket", hosts=[...])``) dials in, completes the versioned
-handshake, ships a ``_ShardTask``, and then drives the exact same
-advance/reply/finish command loop the fork backend runs over a pipe --
-so results are bit-identical across backends by construction.
+handshake, ships a ``_ShardTask``, and then drives the
+advance/reply/finish command loop of :func:`_serve_session`.  The
+process backend forks a worker on one end of a ``socketpair`` that runs
+the same loop (:func:`serve_forked`) on the task it inherited, so both
+backends share one wire protocol and are bit-identical by construction.
 
 Each accepted connection is one *session* serving one shard, handled on
 its own thread; one worker process can therefore host several shards
@@ -52,7 +54,7 @@ from repro.netsim.transport import (
     server_handshake,
 )
 
-__all__ = ["LocalWorkerPool", "WorkerServer", "main"]
+__all__ = ["LocalWorkerPool", "WorkerServer", "main", "serve_forked"]
 
 #: How long a freshly accepted connection may take to complete the
 #: handshake and ship its task before the session is abandoned.
@@ -77,8 +79,19 @@ def _heartbeat_loop(stream: FrameStream, interval: float,
 
 
 def _serve_session(sock: socket.socket,
-                   fault_plan: "TransportFaultPlan | None" = None) -> None:
-    """One coordinator connection: handshake, task, command loop."""
+                   fault_plan: "TransportFaultPlan | None" = None,
+                   task: "typing.Any | None" = None,
+                   heartbeat_interval: float = 0.5) -> None:
+    """Serve one shard to one coordinator: the only shard command loop.
+
+    A dialled-in session (socket backend) first runs the handshake and
+    receives its ``_ShardTask``.  A process-backend worker is forked on
+    one end of a ``socketpair`` and passes the ``task`` it inherited, so
+    it goes straight to the loop.  Either way a heartbeat thread starts
+    before the shard is built, a worker-side Python error is reported as
+    an ``("error", traceback)`` frame, and a lost coordinator ends the
+    session quietly.
+    """
     from repro.sim.parallel import ShardWorker
 
     # The command loop below blocks in recv() with no deadline (a slow
@@ -90,31 +103,30 @@ def _serve_session(sock: socket.socket,
     stream = FrameStream(sock, injector=injector)
     hb_stop = threading.Event()
     try:
-        meta = server_handshake(stream, _worker_meta(),
-                                timeout=_SETUP_TIMEOUT)
-        interval = float(
-            typing.cast(float, meta.get("heartbeat_interval", 0.5)))
-        cmd = stream.recv(timeout=_SETUP_TIMEOUT)
-        if cmd[0] != "task":
-            raise TransportError(
-                f"protocol error: expected 'task', got {cmd[0]!r}")
-        task = cmd[1]
+        if task is None:
+            meta = server_handshake(stream, _worker_meta(),
+                                    timeout=_SETUP_TIMEOUT)
+            heartbeat_interval = float(typing.cast(
+                float, meta.get("heartbeat_interval", heartbeat_interval)))
+            cmd = stream.recv(timeout=_SETUP_TIMEOUT)
+            if cmd[0] != "task":
+                raise TransportError(
+                    f"protocol error: expected 'task', got {cmd[0]!r}")
+            task = cmd[1]
         threading.Thread(
-            target=_heartbeat_loop, args=(stream, interval, hb_stop),
+            target=_heartbeat_loop,
+            args=(stream, heartbeat_interval, hb_stop),
             daemon=True,
         ).start()
         worker = ShardWorker(task)
-        batch = task.batch
         stream.send(("ready", worker.next_event()))
         while True:
             cmd = stream.recv()
             op = cmd[0]
             if op == "advance":
-                msgs = _wire.unpack_frame(cmd[2]) if batch else cmd[2]
-                reply = worker.advance(cmd[1], msgs)
-                if batch:
-                    reply = reply._replace(msgs=_wire.pack_frame(reply.msgs))
-                stream.send(("reply", reply))
+                reply = worker.advance(cmd[1], _wire.unpack_frame(cmd[2]))
+                stream.send(
+                    ("reply", reply._replace(msgs=_wire.pack_frame(reply.msgs))))
             elif op == "finish":
                 stream.send(("result", worker.finish(cmd[1])))
                 return
@@ -132,6 +144,20 @@ def _serve_session(sock: socket.socket,
     finally:
         hb_stop.set()
         stream.close()
+
+
+def serve_forked(sock: socket.socket, task: typing.Any,
+                 heartbeat_interval: float,
+                 inherited: "typing.Sequence[socket.socket]") -> None:
+    """Entry point of a process-backend shard worker.
+
+    ``inherited`` are the coordinator-side socket ends the fork copied
+    (this worker's peer end and those of earlier shards).  Closing them
+    makes a vanished coordinator read as EOF here instead of a hang.
+    """
+    for other in inherited:
+        other.close()
+    _serve_session(sock, task=task, heartbeat_interval=heartbeat_interval)
 
 
 class WorkerServer:

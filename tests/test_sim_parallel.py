@@ -13,7 +13,9 @@ configs and seeds.
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -25,9 +27,15 @@ from repro.mpisim.packets import EagerPacket
 from repro.netsim import channel as ch
 from repro.netsim.differential import assert_sharded_identical, compare_runs
 from repro.netsim.params import NetworkParams
+from repro.netsim.transport import TransportOptions
 from repro.netsim.wire import pack_frame, unpack_frame
 from repro.runtime import run_app
-from repro.sim.parallel import partition_ranks, run_app_sharded
+from repro.sim.parallel import (
+    ShardError,
+    ShardHostLost,
+    partition_ranks,
+    run_app_sharded,
+)
 
 _TAG = 61
 
@@ -320,14 +328,6 @@ def test_high_rank_process_backend_matches_single(sync):
     )
 
 
-def test_unbatched_channels_match_single():
-    # The batch=False escape hatch must stay exactly equivalent.
-    assert_sharded_identical(
-        halo_app, 16, 4, backend="process", batch=False,
-        config=mvapich2_like(), app_args=(3, 2048.0, 15.0e-6),
-    )
-
-
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -341,6 +341,58 @@ def test_hypothesis_high_rank_bit_identical(seed, sync, config):
         halo_app, 256, 4, config=config, seed=seed, sync=sync,
         backend="inline", app_args=(2, 2048.0, 10.0e-6),
     )
+
+
+# ------------------------------------------- process-shard failures
+
+#: Fast loss detection: a hang would surface as a heartbeat timeout
+#: within two seconds, so every failure test below is bounded.
+_FAST = TransportOptions(heartbeat_interval=0.1, host_timeout=2.0)
+
+
+def _dies_mid_run_app(ctx):
+    """Halo for two steps, then rank 3's whole worker process exits."""
+    yield from halo_app(ctx, 2, 2048.0, 15.0e-6)
+    if ctx.rank == 3:
+        os._exit(1)
+    result = yield from halo_app(ctx, 2, 2048.0, 15.0e-6)
+    return result
+
+
+def _raises_app(ctx):
+    yield from halo_app(ctx, 1, 2048.0, 15.0e-6)
+    if ctx.rank == 3:
+        raise ValueError("rank 3 app bug")
+    result = yield from halo_app(ctx, 1, 2048.0, 15.0e-6)
+    return result
+
+
+@pytest.mark.parametrize("sync", ("window", "null"))
+def test_process_worker_death_is_host_loss(sync):
+    t0 = time.monotonic()
+    with pytest.raises(ShardHostLost) as info:
+        run_app_sharded(_dies_mid_run_app, 4, 2, backend="process",
+                        sync=sync, config=mvapich2_like(), transport=_FAST)
+    # EOF is seen at once, well inside the silence budget.
+    assert time.monotonic() - t0 < _FAST.host_timeout + 5.0
+    exc = info.value
+    assert exc.reason == "connection-lost"
+    assert exc.shard == 1 and exc.retryable is True
+    diag = exc.diagnostic
+    assert diag is not None and diag.rounds > 0
+    assert [s["lost"] for s in diag.shards] == [False, True]
+    assert all(s["host"].startswith("local pid ") for s in diag.shards)
+    assert exc.partial is not None and exc.partial["lost_shard"] == 1
+
+
+def test_process_worker_error_is_plain_shard_error():
+    with pytest.raises(ShardError) as info:
+        run_app_sharded(_raises_app, 4, 2, backend="process",
+                        config=mvapich2_like(), transport=_FAST)
+    assert not isinstance(info.value, ShardHostLost)
+    # The worker's own traceback travels back in the message.
+    assert "Traceback" in str(info.value)
+    assert "ValueError: rank 3 app bug" in str(info.value)
 
 
 # ------------------------------------------------- fence implementations
@@ -409,7 +461,7 @@ def test_halo_cli_plain_run(capsys):
     from repro.experiments import halo
 
     rc = halo.main(["--ranks", "8", "--steps", "2", "--shards", "2",
-                    "--backend", "inline", "--sync", "null", "--no-batch",
+                    "--backend", "inline", "--sync", "null",
                     "--fence-impl", "reference"])
     assert rc == 0
     out = capsys.readouterr().out

@@ -73,18 +73,34 @@ def test_socket_backend_bit_identical(sync):
         )
 
 
-def test_socket_transport_stats_surface():
-    with WorkerServer() as worker:
-        result = _run_socket([worker.address])
+def _assert_transport_stats(result, hosts):
     stats = result.sync_stats["transport"]
-    assert stats["hosts"] == [worker.address] * 2
+    assert stats["hosts"] == hosts
     assert stats["frames_out"] > 0 and stats["frames_in"] > 0
     assert stats["bytes_out"] > 0 and stats["bytes_in"] > 0
     # Framing + pickle + heartbeats cost something over raw payload.
     assert stats["bytes_out"] + stats["bytes_in"] > stats["payload_bytes"]
-    for shard in result.shard_stats:
-        assert shard["host"] == worker.address
+    for shard, host in zip(result.shard_stats, hosts):
+        assert shard["host"] == host
         assert shard["frames_out"] > 0
+        assert "heartbeats" in shard
+        assert shard["transport_overhead_bytes"] > 0
+
+
+def test_socket_transport_stats_surface():
+    with WorkerServer() as worker:
+        result = _run_socket([worker.address])
+    _assert_transport_stats(result, [worker.address] * 2)
+    assert result.sync_stats["transport"]["connect_attempts"] == [1, 1]
+    # Forked process shards report the same counters; nothing was dialled.
+    result = run_app(
+        halo_app, 8, config=mvapich2_like(), app_args=_APP_ARGS,
+        shards=2, shard_backend="process", shard_transport=_FAST,
+    )
+    hosts = result.sync_stats["transport"]["hosts"]
+    assert all(h.startswith("local pid ") for h in hosts)
+    _assert_transport_stats(result, hosts)
+    assert result.sync_stats["transport"]["connect_attempts"] == [0, 0]
 
 
 # ------------------------------------------------------------------ host loss
@@ -118,6 +134,23 @@ def test_stalled_worker_is_lost_within_host_timeout():
     assert exc.reason == "heartbeat-timeout"
     # Lost no earlier than the silence budget, not much later either.
     assert _FAST.host_timeout * 0.5 <= elapsed <= _FAST.host_timeout + 3.0
+
+
+def test_host_lost_before_first_round_carries_diagnostic():
+    # The worker dies right after its handshake answer, before "ready":
+    # the loss happens while the coordinator waits for the shards to
+    # come up, and must still carry the snapshot and partial report.
+    plan = TransportFaultPlan(drop_after_frames=1)
+    with WorkerServer(fault_plan=plan) as bad, WorkerServer() as good:
+        with pytest.raises(ShardHostLost) as info:
+            _run_socket([bad.address, good.address])
+    exc = info.value
+    assert exc.reason == "connection-lost" and exc.shard == 0
+    diag = exc.diagnostic
+    assert diag is not None
+    assert diag.rounds == 0 and diag.messages == 0
+    assert [s["lost"] for s in diag.shards] == [True, False]
+    assert exc.partial is not None and exc.partial["rounds"] == 0
 
 
 def test_host_loss_carries_diagnostic_and_partial():
