@@ -324,10 +324,11 @@ class MetricsAggregator:
         gauges = []
         for name, labels in rows(self._gauges):
             st = self._gauges[(name, labels)]
+            p50, p95 = st.quantiles((0.5, 0.95))
             gauges.append({
                 "name": name, "labels": dict(labels),
                 "min": st.min, "max": st.max, "mean": st.mean,
-                "p50": st.quantile(0.5), "p95": st.quantile(0.95),
+                "p50": p50, "p95": p95,
                 "high_water": self._gauge_hiwater[(name, labels)],
                 "contributors": st.count,
             })

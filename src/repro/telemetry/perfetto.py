@@ -23,6 +23,7 @@ PERUSE :class:`~repro.core.trace.TraceSink`), never the live hot path.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import typing
@@ -55,32 +56,30 @@ _THREAD_NAMES = {
 
 
 class ChromeTraceExporter:
-    """Accumulates trace events; serializes the Chrome JSON object format."""
+    """Accumulates trace events; serializes the Chrome JSON object format.
 
-    def __init__(self) -> None:
-        self.events: list[dict[str, object]] = []
+    Each event is stored already encoded: the compact JSON text that
+    ``json.dumps(event, separators=(",", ":"))`` gives its dict, written
+    with one f-string when the event is added.  :meth:`to_json` is then a
+    join inside the fixed envelope, and :meth:`to_dict` a parse of it.
+    """
+
+    def __init__(self, other_data: "dict[str, object] | None" = None) -> None:
+        #: Encoded trace events, in the order they were added.
+        self.events: list[str] = []
+        #: The envelope's ``otherData`` object.
+        self.other_data = other_data if other_data is not None else {
+            "exporter": "repro.telemetry.perfetto",
+            "time_unit": "us (simulated)",
+        }
         self._named_pids: set[int] = set()
         self._wire_seq = 0
 
     # -- metadata -----------------------------------------------------------
     def _ensure_process(self, rank: int, label: str = "") -> None:
-        if rank in self._named_pids:
-            return
-        self._named_pids.add(rank)
-        name = f"rank {rank}" + (f" ({label})" if label else "")
-        self.events.append(
-            {"ph": "M", "name": "process_name", "pid": rank, "tid": 0,
-             "args": {"name": name}}
-        )
-        self.events.append(
-            {"ph": "M", "name": "process_sort_index", "pid": rank, "tid": 0,
-             "args": {"sort_index": rank}}
-        )
-        for tid, tname in _THREAD_NAMES.items():
-            self.events.append(
-                {"ph": "M", "name": "thread_name", "pid": rank, "tid": tid,
-                 "args": {"name": tname}}
-            )
+        if rank not in self._named_pids:
+            name = f"rank {rank}" + (f" ({label})" if label else "")
+            self.add_process(rank, name, thread_names=_THREAD_NAMES)
 
     def add_process(self, pid: int, name: str,
                     sort_index: "int | None" = None,
@@ -94,32 +93,37 @@ class ChromeTraceExporter:
         if pid in self._named_pids:
             return
         self._named_pids.add(pid)
+        sort = pid if sort_index is None else sort_index
         self.events.append(
-            {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-             "args": {"name": name}}
-        )
+            f'{{"ph":"M","name":"process_name","pid":{pid},"tid":0,'
+            f'"args":{{"name":{_quote(name)}}}}}')
         self.events.append(
-            {"ph": "M", "name": "process_sort_index", "pid": pid, "tid": 0,
-             "args": {"sort_index": sort_index if sort_index is not None
-                      else pid}}
-        )
+            f'{{"ph":"M","name":"process_sort_index","pid":{pid},"tid":0,'
+            f'"args":{{"sort_index":{_num(sort)}}}}}')
         for tid, tname in (thread_names or {TID_SPANS: "spans"}).items():
             self.events.append(
-                {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                 "args": {"name": tname}}
-            )
+                f'{{"ph":"M","name":"thread_name","pid":{pid},"tid":{tid},'
+                f'"args":{{"name":{_quote(tname)}}}}}')
 
     def add_complete_slice(self, pid: int, tid: int, name: str, cat: str,
                            t0: float, t1: float,
                            args: "dict | None" = None) -> None:
         """One complete ("X") slice from absolute times in seconds."""
-        ev: dict[str, object] = {
-            "ph": "X", "name": name, "cat": cat, "pid": pid, "tid": tid,
-            "ts": t0 * TIME_SCALE, "dur": max(0.0, (t1 - t0)) * TIME_SCALE,
-        }
-        if args:
-            ev["args"] = args
-        self.events.append(ev)
+        self.events.append(
+            f'{{"ph":"X","name":{_quote(name)},"cat":{_quote(cat)},'
+            f'"pid":{pid},"tid":{tid},"ts":{_ts(t0 * TIME_SCALE)},'
+            f'"dur":{_ts(max(0.0, (t1 - t0)) * TIME_SCALE)}'
+            + (f',"args":{_compact(args)}}}' if args else "}"))
+
+    def _add_async(self, pid: int, tid: int, cat: str, name: str, ident: str,
+                   t0: float, t1: float, args: str) -> None:
+        """One async "b"/"e" pair keyed by ``ident`` (ASCII built from ints,
+        so written unescaped); ``args`` is already-encoded JSON."""
+        head = (f'{{"cat":{_quote(cat)},"name":{_quote(name)},"id":"{ident}",'
+                f'"pid":{pid},"tid":{tid},"ph":')
+        self.events.append(
+            f'{head}"b","ts":{_ts(t0 * TIME_SCALE)},"args":{args}}}')
+        self.events.append(f'{head}"e","ts":{_ts(t1 * TIME_SCALE)}}}')
 
     # -- slices from the raw event stream -----------------------------------
     def add_rank_events(
@@ -138,28 +142,14 @@ class ChromeTraceExporter:
         call_stack: list[tuple[int, float]] = []
         section_stack: list[tuple[int, float]] = []
         open_xfers: dict[int, TimedEvent] = {}
+        add_slice = self.add_complete_slice
 
-        def slice_event(name: str, tid: int, t0: float, t1: float,
-                        cat: str, args: dict | None = None) -> None:
-            ev: dict[str, object] = {
-                "ph": "X", "name": name, "cat": cat, "pid": rank, "tid": tid,
-                "ts": t0 * TIME_SCALE, "dur": max(0.0, (t1 - t0)) * TIME_SCALE,
-            }
-            if args:
-                ev["args"] = args
-            self.events.append(ev)
-
-        def async_span(name: str, ident: str, t0: float, t1: float,
-                       cat: str, args: dict | None = None) -> None:
-            base: dict[str, object] = {
-                "cat": cat, "name": name, "id": ident, "pid": rank,
-                "tid": TID_TRANSFERS if cat.startswith("transfer") else TID_WIRE,
-            }
-            begin = dict(base, ph="b", ts=t0 * TIME_SCALE)
-            if args:
-                begin["args"] = args
-            self.events.append(begin)
-            self.events.append(dict(base, ph="e", ts=t1 * TIME_SCALE))
+        def xfer_span(ev: TimedEvent, suffix: str, t0: float, t1: float,
+                      cat: str) -> None:
+            self._add_async(rank, TID_TRANSFERS, cat,
+                            f"xfer {_fmt_nbytes(ev.b)}{suffix}",
+                            f"x{rank}.{ev.a}", t0, t1,
+                            f'{{"nbytes":{_num(ev.b)}}}')
 
         for ev in events:
             kind = ev.kind
@@ -168,40 +158,36 @@ class ChromeTraceExporter:
             elif kind == EventKind.CALL_EXIT:
                 if call_stack:
                     ident, t0 = call_stack.pop()
-                    slice_event(names.name_of(ident), TID_CALLS, t0, ev.time,
-                                "call")
+                    add_slice(rank, TID_CALLS, names.name_of(ident), "call",
+                              t0, ev.time)
             elif kind == EventKind.SECTION_BEGIN:
                 section_stack.append((ev.a, ev.time))
             elif kind == EventKind.SECTION_END:
                 if section_stack:
                     ident, t0 = section_stack.pop()
-                    slice_event(names.name_of(ident), TID_SECTIONS, t0,
-                                ev.time, "section")
+                    add_slice(rank, TID_SECTIONS, names.name_of(ident),
+                              "section", t0, ev.time)
             elif kind == EventKind.XFER_BEGIN:
                 open_xfers[ev.a] = ev
             elif kind == EventKind.XFER_END:
                 begin = open_xfers.pop(ev.a, None)
                 if begin is not None:
-                    async_span(f"xfer {_fmt_nbytes(ev.b)}", f"x{rank}.{ev.a}",
-                               begin.time, ev.time, "transfer",
-                               {"nbytes": ev.b})
+                    xfer_span(ev, "", begin.time, ev.time, "transfer")
                 elif xfer_table is not None:
                     # Case 3: initiation invisible; draw the a-priori span.
                     span = xfer_table.time_for(float(ev.b))
-                    async_span(f"xfer {_fmt_nbytes(ev.b)} (a-priori)",
-                               f"x{rank}.{ev.a}", max(0.0, ev.time - span),
-                               ev.time, "transfer.apriori", {"nbytes": ev.b})
+                    xfer_span(ev, " (a-priori)", max(0.0, ev.time - span),
+                              ev.time, "transfer.apriori")
         # Anything still open at the end of the stream is drawn to the end.
         for ident, t0 in call_stack:
-            slice_event(names.name_of(ident), TID_CALLS, t0, end_of_stream,
-                        "call.unclosed")
+            add_slice(rank, TID_CALLS, names.name_of(ident), "call.unclosed",
+                      t0, end_of_stream)
         for ident, t0 in section_stack:
-            slice_event(names.name_of(ident), TID_SECTIONS, t0, end_of_stream,
-                        "section.unclosed")
-        for xid, begin in open_xfers.items():
-            async_span(f"xfer {_fmt_nbytes(begin.b)} (unresolved)",
-                       f"x{rank}.{xid}", begin.time, end_of_stream,
-                       "transfer.unresolved", {"nbytes": begin.b})
+            add_slice(rank, TID_SECTIONS, names.name_of(ident),
+                      "section.unclosed", t0, end_of_stream)
+        for begin in open_xfers.values():
+            xfer_span(begin, " (unresolved)", begin.time, end_of_stream,
+                      "transfer.unresolved")
 
     # -- counters from the windowed series -----------------------------------
     def add_window_counters(
@@ -217,20 +203,19 @@ class ChromeTraceExporter:
         if unknown:
             raise ValueError(f"unknown window metrics {sorted(unknown)}")
         rows = series.deltas()
+        if not rows:
+            return
+        # Every metric's track samples the same instants: encode them once.
+        stamps = [_ts(row["start"] * TIME_SCALE) for row in rows]
+        end = _ts(rows[-1]["end"] * TIME_SCALE)
         for metric in metrics:
-            name = f"win.{metric}"
-            for row in rows:
-                self.events.append(
-                    {"ph": "C", "name": name, "pid": rank, "tid": 0,
-                     "ts": row["start"] * TIME_SCALE,
-                     "args": {"value": row[metric]}}
-                )
-            if rows:
-                # Close the staircase so the last window has visible width.
-                self.events.append(
-                    {"ph": "C", "name": name, "pid": rank, "tid": 0,
-                     "ts": rows[-1]["end"] * TIME_SCALE, "args": {"value": 0.0}}
-                )
+            head = (f'{{"ph":"C","name":{_quote("win." + metric)},'
+                    f'"pid":{rank},"tid":0,"ts":')
+            self.events.extend(
+                f'{head}{ts},"args":{{"value":{_num(row[metric])}}}}}'
+                for ts, row in zip(stamps, rows))
+            # Close the staircase so the last window has visible width.
+            self.events.append(f'{head}{end},"args":{{"value":0.0}}}}')
 
     # -- ground-truth wire intervals -----------------------------------------
     def add_transfer_log(
@@ -249,33 +234,45 @@ class ChromeTraceExporter:
                 continue
             self._ensure_process(rec.src)
             self._wire_seq += 1
-            ident = f"w{self._wire_seq}"
-            base: dict[str, object] = {
-                "cat": "wire", "name": f"{rec.kind} {_fmt_nbytes(rec.nbytes)} "
-                f"→ {rec.dst}", "id": ident, "pid": rec.src,
-                "tid": TID_WIRE,
-            }
-            self.events.append(
-                dict(base, ph="b", ts=rec.start * TIME_SCALE,
-                     args={"nbytes": rec.nbytes, "dst": rec.dst})
-            )
-            self.events.append(dict(base, ph="e", ts=rec.end * TIME_SCALE))
+            self._add_async(
+                rec.src, TID_WIRE, "wire",
+                f"{rec.kind} {_fmt_nbytes(rec.nbytes)} → {rec.dst}",
+                f"w{self._wire_seq}", rec.start, rec.end,
+                f'{{"nbytes":{_num(rec.nbytes)},"dst":{_num(rec.dst)}}}')
 
     # -- serialization --------------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "traceEvents": self.events,
-            "displayTimeUnit": "ms",
-            "otherData": {"exporter": "repro.telemetry.perfetto",
-                          "time_unit": "us (simulated)"},
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=None, separators=(",", ":"))
+        return (f'{{"traceEvents":[{",".join(self.events)}],'
+                f'"displayTimeUnit":"ms",'
+                f'"otherData":{_compact(self.other_data)}}}')
+
+    def to_dict(self) -> dict[str, object]:
+        return json.loads(self.to_json())
 
     def save(self, path: "str | os.PathLike") -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
+
+
+#: A string as a JSON literal, exactly as ``json.dumps`` writes it
+#: (``ensure_ascii``); memoized, since names and categories repeat.
+_quote = functools.lru_cache(maxsize=4096)(
+    json.encoder.encode_basestring_ascii)
+
+#: Compact ``json.dumps`` for free-form values (span args, ``otherData``).
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Timestamps and durations: always finite floats, which ``json.dumps``
+#: writes with ``float.__repr__``.
+_ts = float.__repr__
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _num(x: float) -> str:
+    """An int or float exactly as ``json.dumps`` writes it."""
+    s = float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
+    return _NON_FINITE.get(s, s)
 
 
 def _fmt_nbytes(n: float) -> str:

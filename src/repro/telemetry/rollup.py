@@ -26,6 +26,7 @@ ROLLUP_FORMAT_VERSION = 1
 
 #: Percentiles reported per (window, metric) across ranks.
 QUANTILES = (0.25, 0.5, 0.75, 0.95)
+_QUANTILE_KEYS = tuple(f"p{int(q * 100)}" for q in QUANTILES)
 
 #: Report totals summarized in the rank-imbalance table.
 IMBALANCE_METRICS = (
@@ -87,14 +88,19 @@ class StreamStats:
         the missing ones being zero (ranks whose series ended early
         contribute empty windows).
         """
+        return self.quantiles((q,), pad_zeros_to)[0]
+
+    def quantiles(self, qs: typing.Sequence[float],
+                  pad_zeros_to: int = 0) -> "list[float]":
+        """:meth:`quantile` for each of ``qs``, sorting the reservoir once."""
         values = sorted(self.samples)
         missing = max(0, min(pad_zeros_to, self._cap) - len(values))
         if missing:
             values = [0.0] * missing + values
         if not values:
-            return 0.0
-        idx = min(len(values) - 1, max(0, round(q * (len(values) - 1))))
-        return values[idx]
+            return [0.0] * len(qs)
+        last = len(values) - 1
+        return [values[min(last, max(0, round(q * last)))] for q in qs]
 
 
 class ClusterRollup:
@@ -174,10 +180,8 @@ class ClusterRollup:
                         "min": 0.0 if st.count < self.nranks else st.min,
                         "max": st.max if st.count else 0.0,
                         "mean": st.total / self.nranks,
-                        **{
-                            f"p{int(q * 100)}": st.quantile(q, self.nranks)
-                            for q in QUANTILES
-                        },
+                        **dict(zip(_QUANTILE_KEYS,
+                                   st.quantiles(QUANTILES, self.nranks))),
                     }
                     for name, st in stats.items()
                 },

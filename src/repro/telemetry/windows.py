@@ -278,30 +278,28 @@ class WindowedProcessor(DataProcessor):
     def window_count(self) -> int:
         return len(self._windows)
 
-    def _close_window(self) -> None:
+    def _close_windows(self, t: float = float("-inf")) -> None:
+        """Close the open window and every later one ending before ``t``.
+
+        No event lands between them, so they share one snapshot.
+        """
         m = self.total
         pending = 0.0
         if self._active:
             time_for = self.xfer_table.time_for
             for xfer in self._active.values():
                 pending += time_for(xfer.nbytes)
-        self._windows.append(
-            Window(
-                cum=(
-                    m.data_transfer_time,
-                    m.min_overlap_time,
-                    m.max_overlap_time,
-                    m.computation_time,
-                    m.communication_call_time,
-                ),
-                transfers=m.transfer_count,
-                active=len(self._active),
-                pending_xfer_time=pending,
-            )
-        )
-        if len(self._windows) >= self._max_windows:
-            self._coalesce()
-        self._boundary = (len(self._windows) + 1) * self._width
+        win = Window((m.data_transfer_time, m.min_overlap_time,
+                      m.max_overlap_time, m.computation_time,
+                      m.communication_call_time),
+                     m.transfer_count, len(self._active), pending)
+        while True:
+            self._windows.append(win)
+            if len(self._windows) >= self._max_windows:
+                self._coalesce()
+            self._boundary = (len(self._windows) + 1) * self._width
+            if not t > self._boundary:
+                return
 
     def _coalesce(self) -> None:
         """Halve the ring by merging adjacent pairs; double the width.
@@ -318,8 +316,8 @@ class WindowedProcessor(DataProcessor):
         # Close every grid boundary strictly before t; the interval ending
         # at t is then attributed to the window containing t.  Statically
         # bound base-class call: this runs once per instrumented event.
-        while t > self._boundary:
-            self._close_window()
+        if t > self._boundary:
+            self._close_windows(t)
         DataProcessor._advance(self, t)
 
     def finalize(self, end_time: float | None = None) -> None:
@@ -328,7 +326,7 @@ class WindowedProcessor(DataProcessor):
         if not already and self._last_time is not None:
             # Close the trailing (possibly partial) window so the last
             # snapshot equals the final totals -- the exactness invariant.
-            self._close_window()
+            self._close_windows()
 
     def series(self, rank: int = -1, label: str = "") -> WindowSeries:
         """Snapshot the collected windows as an immutable series."""

@@ -5,10 +5,10 @@ list plus the payloads it absorbed from its children (sweep cells, shard
 workers).  This module flattens that tree, assigns one Perfetto pid per
 process, rebases every timestamp to the earliest span (so the timeline
 starts near zero instead of at the unix epoch), and renders complete
-("X") slices through the existing
+("X") slices through
 :class:`~repro.telemetry.perfetto.ChromeTraceExporter` -- the same
-exporter the simulated-time timeline uses, so one toolchain serves both
-simulated and host traces.
+writer the simulated-time timeline uses, so one module writes every
+``trace_event`` JSON file, simulated and host alike.
 
 Spans left open at export time are drawn to the trace extent with an
 ``.unclosed`` category suffix; ``repro.tools.explain --check`` treats
@@ -17,7 +17,6 @@ them as structural errors.
 
 from __future__ import annotations
 
-import json
 import os
 import typing
 
@@ -71,13 +70,17 @@ def _extent(processes: "list[tuple[dict, list[SpanRecord]]]"
     return t0, max(t0, t1)
 
 
-def build_trace(source: Source) -> "dict[str, object]":
-    """Render the payload tree as a Chrome ``trace_event`` JSON object."""
+def _render(source: Source) -> ChromeTraceExporter:
     flat = flatten_payloads(source)
     processes = [(payload, payload_spans(payload)) for payload in flat]
     t0, t1 = _extent(processes)
-    exporter = ChromeTraceExporter()
-    trace_id = str(flat[0].get("trace_id", "")) if flat else ""
+    exporter = ChromeTraceExporter({
+        "exporter": "repro.tracing.merge",
+        "time_unit": "us (host)",
+        "trace_id": str(flat[0].get("trace_id", "")) if flat else "",
+        "anchor_unix": t0,
+        "processes": [str(p.get("process", "")) for p in flat],
+    })
     for pid0, (payload, spans) in enumerate(processes):
         pid = pid0 + 1
         exporter.add_process(pid, str(payload.get("process", f"proc {pid}")),
@@ -96,22 +99,17 @@ def build_trace(source: Source) -> "dict[str, object]":
             exporter.add_complete_slice(
                 pid, TID_SPANS, str(name), f"{category}.unclosed",
                 start - t0, t1 - t0, {"span": span_id, "unclosed": True})
-    trace = exporter.to_dict()
-    other = typing.cast(dict, trace["otherData"])
-    other.update({
-        "exporter": "repro.tracing.merge",
-        "time_unit": "us (host)",
-        "trace_id": trace_id,
-        "anchor_unix": t0,
-        "processes": [str(p.get("process", "")) for p in flat],
-    })
-    return trace
+    return exporter
+
+
+def build_trace(source: Source) -> "dict[str, object]":
+    """Render the payload tree as a Chrome ``trace_event`` JSON object."""
+    return _render(source).to_dict()
 
 
 def save_trace(path: "str | os.PathLike", source: Source
                ) -> "dict[str, object]":
     """Build and write the merged trace; returns the trace dict."""
-    trace = build_trace(source)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, indent=None, separators=(",", ":"))
-    return trace
+    exporter = _render(source)
+    exporter.save(path)
+    return exporter.to_dict()

@@ -1,6 +1,8 @@
 """Strict validation of the Chrome trace_event / Perfetto export."""
 
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -8,7 +10,7 @@ from repro.mpisim.config import MpiConfig
 from repro.runtime import run_app
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.perfetto import TIME_SCALE, ChromeTraceExporter
-from repro.telemetry.windows import WINDOW_METRICS
+from repro.telemetry.windows import WINDOW_METRICS, Window, WindowSeries
 
 NRANKS = 3
 
@@ -160,3 +162,52 @@ def test_apriori_spans_used_without_ground_truth():
     cats = {e.get("cat") for e in doc["traceEvents"]}
     assert "wire" not in cats  # no physical log to draw
     assert "transfer" in cats or "transfer.apriori" in cats
+
+
+# ---------------------------------------------------------------------------
+# The writer: events are stored as encoded JSON text
+# ---------------------------------------------------------------------------
+#: SHA-256 of the ``ring`` run's ``to_json()`` (wire events included), as
+#: the dict-per-event exporter wrote it; the encoded writer must match it.
+RING_TRACE_SHA256 = (
+    "880a20294d2ec4501fdc63e41e66348e8a036e7846f58453e0e735c47d686e23")
+
+
+def _compact(doc):
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def test_ring_trace_bytes_are_pinned(run):
+    text = run.telemetry.build_trace(run).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == RING_TRACE_SHA256
+
+
+def test_save_writes_exactly_to_json(run, tmp_path):
+    exporter = run.telemetry.build_trace(run)
+    path = tmp_path / "trace.json"
+    exporter.save(path)
+    assert path.read_bytes() == exporter.to_json().encode("utf-8")
+
+
+def test_to_json_is_compact_json_dumps_of_itself(run):
+    text = run.telemetry.build_trace(run).to_json()
+    assert _compact(json.loads(text)) == text
+
+
+def test_non_ascii_names_and_non_finite_values_encode_like_json_dumps():
+    name = "café → ∞"
+    series = WindowSeries(1e-4, [
+        Window((math.nan, math.inf, -math.inf, 1.5, 0.0), 1, 0, 0.0),
+    ])
+    exporter = ChromeTraceExporter()
+    exporter.add_process(7, name)
+    exporter.add_complete_slice(7, 1, name, "cat", 0.0, 1e-3,
+                                {"label": name, "ratio": math.inf})
+    exporter.add_window_counters(0, series)
+    for text in exporter.events:
+        assert _compact(json.loads(text)) == text
+    text = exporter.to_json()
+    assert _compact(name) in text and name not in text
+    for metric, value in zip(WINDOW_METRICS, series.windows[0].cum):
+        assert (f'"name":"win.{metric}","pid":0,"tid":0,"ts":0.0,'
+                f'"args":{{"value":{json.dumps(value)}}}') in text

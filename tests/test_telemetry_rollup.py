@@ -175,3 +175,13 @@ def test_stream_stats_reservoir_is_bounded_and_deterministic():
     assert len(a.samples) == 16
     assert a.samples == b.samples  # LCG makes the reservoir reproducible
     assert a.count == 1000
+
+
+def test_stream_stats_quantiles_match_quantile():
+    st = StreamStats(sample_cap=16)
+    for i in range(100):
+        st.add(float((i * 37) % 101))
+    qs = (0.0, 0.25, 0.5, 0.75, 0.95, 1.0)
+    for pad in (0, 8, 40):
+        assert st.quantiles(qs, pad) == [st.quantile(q, pad) for q in qs]
+    assert StreamStats().quantiles(qs) == [0.0] * len(qs)

@@ -7,6 +7,7 @@ protocol and through ring coalescing.
 
 import pytest
 
+from repro.core.processor import DataProcessor
 from repro.core.report import OverlapReport
 from repro.mpisim.config import (
     RNDV_PIPELINED,
@@ -240,3 +241,40 @@ def test_report_totals_match_saved_report_dict():
     totals = result.telemetry.series(0).totals()
     for metric in WINDOW_METRICS:
         assert totals[metric] == getattr(rep.total, metric)
+
+
+class _OneWindowPerBoundary(WindowedProcessor):
+    """Oracle: a fresh snapshot for every crossed grid boundary."""
+
+    def _advance(self, t):
+        while t > self._boundary:
+            self._close_windows()  # closes exactly one window
+        DataProcessor._advance(self, t)
+
+
+def _long_gap_app(ctx):
+    """Transfers in flight across one compute gap of ~500 base windows."""
+    peer = 1 - ctx.rank
+    for gap in (2e-5, 5e-3, 3e-5):
+        sreq = yield from ctx.comm.isend(peer, 9, 64 * 1024)
+        rreq = yield from ctx.comm.irecv(peer, 9)
+        yield from ctx.compute(gap)
+        yield from ctx.comm.wait(sreq)
+        yield from ctx.comm.wait(rreq)
+
+
+def test_long_gap_series_matches_one_window_per_boundary():
+    width, cap = 1e-5, 16
+    result = run_app(
+        _long_gap_app, 2, config=_rndv_cfg(RNDV_PIPELINED),
+        telemetry=TelemetryConfig(window_width=width, max_windows=cap),
+    )
+    for rt in result.telemetry.per_rank:
+        oracle = _OneWindowPerBoundary(result.telemetry.xfer_table,
+                                       window_width=width, max_windows=cap)
+        oracle.process(rt.events)
+        oracle.finalize(result.report(rt.rank).wall_time)
+        assert oracle.coalesce_count >= 1
+        assert any(w.active for w in oracle.series().windows)
+        expected = oracle.series(rank=rt.rank, label=rt.series.label)
+        assert rt.series.to_dict() == expected.to_dict()

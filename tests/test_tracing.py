@@ -17,6 +17,7 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import hypothesis.strategies as st
@@ -29,7 +30,8 @@ from repro.nas.base import CpuModel
 from repro.nas.lu import lu_app
 from repro.runtime import run_app
 from repro.tracing import (SpanContext, Tracer, build_trace, explain_trace,
-                           flatten_payloads, payload_spans, validate_trace)
+                           flatten_payloads, payload_spans, save_trace,
+                           validate_trace)
 
 # ``/`` is the header separator and the only character SpanContext
 # forbids; ids are otherwise opaque strings.
@@ -319,3 +321,39 @@ def test_explain_cli_exit_codes(tmp_path, sharded_trace, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert main([str(notjson), "--check"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The merged trace goes through the exporter's writer
+# ---------------------------------------------------------------------------
+#: A fixed two-process payload tree: args of every JSON type, a non-ASCII
+#: process name, an open span and an absorbed child.
+_FIXED_PAYLOAD = {
+    "version": 1, "trace_id": "t-1", "process": "sweep → root",
+    "parent_span_id": None,
+    "spans": [
+        ["sweep", "runner.root", 100.0, 101.5, "s1", None, {"cells": 2}],
+        ["cell é", "runner.task", 100.25, 101.0, "s2", "s1",
+         {"bench": "lu", "np": 4, "ok": True, "x": None, "ratio": 0.1}],
+    ],
+    "open": [["stuck", "runner.wait", 101.25, "s3", "s1", None]],
+    "children": [{
+        "version": 1, "trace_id": "t-1", "process": "shard 0",
+        "parent_span_id": "s2",
+        "spans": [["advance", "shard.advance", 100.5, 100.75, "", "s2", None]],
+        "open": [], "children": [],
+    }],
+}
+
+#: SHA-256 of ``_FIXED_PAYLOAD``'s merged trace file, as ``save_trace``
+#: wrote it with its own ``json.dump`` before the exporter did.
+FIXED_TRACE_SHA256 = (
+    "d16007f49aabe7cb0af29f232982645a67f1d146bbad558c3abf146eab6bf509")
+
+
+def test_merged_trace_bytes_are_pinned(tmp_path):
+    path = tmp_path / "merged.trace.json"
+    returned = save_trace(path, _FIXED_PAYLOAD)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIXED_TRACE_SHA256
+    assert returned == build_trace(_FIXED_PAYLOAD) == json.loads(data)
