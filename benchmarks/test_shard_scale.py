@@ -10,7 +10,8 @@ sharded parallel-DES engine and records three guarded curves into
   counts at 256/1024/4096 ranks with shards=8 (the high-rank curve this
   engine is sized for);
 * ``shard_fence`` -- the incremental-vs-reference fence-computation
-  speedup on a coordinator-stress partition (every halo edge cross-shard).
+  speedup on a coordinator-stress partition (every halo edge cross-shard);
+  the reference runs on the test oracle (``tests/oracles.py``).
 
 The guarded number is *capacity*, not wall clock: aggregate events
 retired divided by the busiest worker's CPU time
@@ -33,10 +34,19 @@ Run with::
 
 from __future__ import annotations
 
+import contextlib
+import pathlib
+import sys
+
 from repro.experiments.halo import halo_app
 from repro.mpisim.config import mvapich2_like
 from repro.runtime import run_app
 from repro.tracing.span import Tracer, payload_spans
+
+# The fence oracle lives with the tests, in the repository root's
+# ``tests`` package.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.oracles import reference_fences  # noqa: E402
 
 RANKS = 32
 STEPS = 120
@@ -128,12 +138,15 @@ def _run_hi_curve() -> dict[int, dict]:
 def _fence_run(impl: str, partition: list[list[int]]) -> tuple[float, int]:
     """One scattered-partition run; returns (fence seconds, rounds)."""
     tracer = Tracer("bench.shard_fence")
-    result = run_app(
-        halo_app, FENCE_RANKS, config=mvapich2_like(),
-        app_args=(FENCE_STEPS, NBYTES, COMPUTE_S),
-        label=f"halo.fence.{impl}", shards=FENCE_SHARDS,
-        shard_partition=partition, shard_fence_impl=impl, tracer=tracer,
-    )
+    oracle = (reference_fences() if impl == "reference"
+              else contextlib.nullcontext())
+    with oracle:
+        result = run_app(
+            halo_app, FENCE_RANKS, config=mvapich2_like(),
+            app_args=(FENCE_STEPS, NBYTES, COMPUTE_S),
+            label=f"halo.fence.{impl}", shards=FENCE_SHARDS,
+            shard_partition=partition, tracer=tracer,
+        )
     return (_coord_totals(tracer)["coord.fence"],
             result.sync_stats["rounds"])
 

@@ -31,7 +31,6 @@ from repro.core.measures import OverlapMeasures, SizeBins
 from repro.core.monitor import Monitor
 from repro.core.peruse import PeruseHub, PeruseSubscription
 from repro.core.processor import DataProcessor
-from repro.core.processor_reference import ReferenceDataProcessor
 from repro.core.report import OverlapReport, aggregate_reports
 from repro.core.trace import TraceSink, replay_overlap
 from repro.core.xfer_table import XferTable
@@ -46,7 +45,6 @@ __all__ = [
     "OverlapReport",
     "PeruseHub",
     "PeruseSubscription",
-    "ReferenceDataProcessor",
     "SizeBins",
     "TimedEvent",
     "TraceSink",

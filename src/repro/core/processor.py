@@ -35,8 +35,9 @@ them at ``XFER_BEGIN``.  At ``XFER_END`` the interleaved ``comp`` /
 ``noncomp`` windows fall out by subtraction.  The clocks are kept as exact
 Shewchuk partial sums so the window values are *correctly rounded*: the
 subtraction is bit-identical to exactly summing the per-transfer interval
-list, which is what :mod:`repro.core.processor_reference` does and what
-the differential property test relies on.
+list, which is what the test oracle ``ReferenceDataProcessor``
+(``tests/oracles.py``) does and what the differential property test
+relies on.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     The CI high-rank smoke job drives this::
 
         python -m repro.experiments.halo --ranks 1024 --shards 4 \\
-            --steps 3 --sync null --check --json
+            --steps 3 --check --json
 
     ``--check`` runs the full sharded differential
     (:func:`repro.netsim.differential.assert_sharded_identical`): the
@@ -96,8 +96,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     parser.add_argument("--nbytes", type=float, default=4096.0)
     parser.add_argument("--compute-us", type=float, default=20.0)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--sync", choices=("window", "null"),
-                        default="window")
     parser.add_argument("--backend",
                         choices=("process", "inline", "socket"),
                         default="process")
@@ -114,9 +112,6 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     parser.add_argument("--host-timeout", type=float, default=10.0,
                         help="declare a silent process or socket worker "
                         "lost after this many seconds (default %(default)s)")
-    parser.add_argument("--fence-impl",
-                        choices=("incremental", "reference"),
-                        default="incremental")
     parser.add_argument("--check", action="store_true",
                         help="also run single-process and require "
                         "bit-identical results")
@@ -174,8 +169,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
             try:
                 assert_sharded_identical(
                     _app, args.ranks, args.shards, config=config,
-                    app_args=app_args, sync=args.sync,
-                    backend=args.backend, fence_impl=args.fence_impl,
+                    app_args=app_args, backend=args.backend,
                     hosts=hosts, transport=transport,
                 )
             except AssertionError as exc:
@@ -183,8 +177,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
                 return 1
             _single, result = run_sharded_pair(
                 _app, args.ranks, args.shards, config=config,
-                app_args=app_args, sync=args.sync, backend=args.backend,
-                fence_impl=args.fence_impl,
+                app_args=app_args, backend=args.backend,
                 hosts=hosts, transport=transport,
             )
         else:
@@ -193,8 +186,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
             result = run_app(
                 _app, args.ranks, config=config, app_args=app_args,
                 label=f"halo.{args.ranks}", shards=args.shards,
-                shard_sync=args.sync, shard_backend=args.backend,
-                shard_fence_impl=args.fence_impl,
+                shard_backend=args.backend,
                 shard_hosts=hosts, shard_transport=transport,
             )
     except ShardHostLost as exc:
@@ -212,13 +204,10 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
     summary = {
         "ranks": args.ranks,
         "shards": args.shards,
-        "sync": args.sync,
-        "fence_impl": st["fence_impl"],
         "checked": args.check,
         "events": st["events"],
         "rounds": st["rounds"],
         "messages": st["messages"],
-        "fence_recomputes": st["fence_recomputes"],
         "events_per_busy_s": round(st["events"] / max(st["busy_s"])),
         "elapsed_sim_s": result.elapsed,
     }
@@ -228,7 +217,7 @@ def main(argv: "typing.Sequence[str] | None" = None) -> int:
         checked = " [bit-identity checked]" if args.check else ""
         print(
             f"halo {args.ranks} ranks x {args.steps} steps, "
-            f"shards={args.shards} sync={args.sync}{checked}: "
+            f"shards={args.shards}{checked}: "
             f"{summary['events']} events in {summary['rounds']} rounds, "
             f"{summary['events_per_busy_s']} ev/s per busy-CPU"
         )

@@ -79,7 +79,6 @@ def characterize(
     config: MpiConfig | None = None,
     lu_planes: int | None = None,
     shards: int | None = None,
-    shard_sync: str = "window",
 ) -> CharPoint:
     """Run one MPI NAS benchmark cell and return its characterization.
 
@@ -103,7 +102,7 @@ def characterize(
         args = (klass, niter, cpu)
     result = run_app(
         app, nprocs, config=cfg, label=f"{benchmark}.{klass}.{nprocs}",
-        app_args=args, shards=shards, shard_sync=shard_sync,
+        app_args=args, shards=shards,
     )
     return CharPoint(benchmark, klass, nprocs, "", result.report(0), result.elapsed)
 

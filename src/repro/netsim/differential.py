@@ -158,11 +158,9 @@ def run_sharded_pair(
     app_args: tuple = (),
     seed: int = 0,
     label: str = "",
-    sync: str = "window",
     backend: str = "process",
     strategy: str = "contiguous",
     record_transfers: bool = False,
-    fence_impl: str = "incremental",
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
 ) -> "tuple[RunResult, RunResult]":
@@ -189,9 +187,8 @@ def run_sharded_pair(
         app, nprocs, config=config, params=chan,  # type: ignore[arg-type]
         app_args=app_args, seed=seed, label=label,
         record_transfers=record_transfers,
-        shards=shards, shard_sync=sync, shard_backend=backend,
+        shards=shards, shard_backend=backend,
         shard_strategy=strategy,
-        shard_fence_impl=fence_impl,
         shard_hosts=hosts, shard_transport=transport,
     )
     return single, sharded

@@ -16,10 +16,9 @@ This module owns that gap:
   ``tests/test_netsim_transport.py``; the sharded engine's cross-host
   bit-identity guarantee rests on it).
 * :class:`FrameStream`: a socket wrapper with the decoder behind it --
-  blocking receive with deadline, non-blocking drain (for the
-  null-message protocol's readiness loop), thread-safe send (the worker
-  heartbeat thread shares the stream with the command loop), and
-  traffic counters for ``sync_stats``.
+  blocking receive with deadline, thread-safe send (the worker heartbeat
+  thread shares the stream with the command loop), and traffic counters
+  for ``sync_stats``.
 * :func:`connect_with_retry`: exponential backoff with deterministic
   seeded jitter -- a worker that is still booting is retried, a dead
   address fails with the attempt history in the message.
@@ -209,7 +208,7 @@ class FrameDecoder:
 
 
 class FrameStream:
-    """One message-framed socket: blocking/draining receive, locked send.
+    """One message-framed socket: deadline-bounded receive, locked send.
 
     ``injector`` (a :class:`repro.faults.TransportInjector`) hooks every
     send under the send lock, so deterministic transport faults -- drop,
@@ -234,9 +233,6 @@ class FrameStream:
         self.last_recv = time.monotonic()
         self._closed = False
 
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
     # -- sending -----------------------------------------------------------
     def send(self, obj: object) -> None:
         data = encode_message(obj)
@@ -244,13 +240,12 @@ class FrameStream:
             if self.injector is not None:
                 self.injector.before_send(self)
             try:
-                # recv()/try_recv() leave the socket's timeout finite or
-                # zero; sendall() on such a socket raises as soon as the
-                # frame outgrows the free kernel buffer -- possibly after
-                # a partial write that desyncs the framing -- and a
-                # healthy peer would be misdeclared lost.  Writes always
-                # run blocking; the receive paths re-set their own
-                # timeout immediately before every recv() call.
+                # recv() leaves the socket's timeout finite; sendall()
+                # on such a socket raises as soon as the frame outgrows
+                # the free kernel buffer -- possibly after a partial
+                # write that desyncs the framing -- and a healthy peer
+                # would be misdeclared lost.  Writes always run blocking;
+                # recv() re-sets its own timeout before every read.
                 self.sock.settimeout(None)
                 self.sock.sendall(data)
             except OSError as exc:
@@ -291,37 +286,6 @@ class FrameStream:
             if ok:
                 self.frames_in += 1
                 return msg
-
-    def try_recv(self) -> "tuple[bool, object]":
-        """Drain available bytes without blocking.
-
-        Returns ``(True, message)`` if a complete message is now
-        buffered, ``(False, None)`` otherwise.  Raises
-        :class:`ConnectionLost` on EOF.  Used by the null-message
-        protocol after a readiness wake-up: a ready socket may hold only
-        a heartbeat or half a reply.
-        """
-        ok, msg = self._decoder.pop()
-        if ok:
-            self.frames_in += 1
-            return True, msg
-        while True:
-            self.sock.settimeout(0.0)
-            try:
-                data = self.sock.recv(_RECV_CHUNK)
-            except (BlockingIOError, socket.timeout):
-                return False, None
-            except OSError as exc:
-                raise ConnectionLost(f"recv failed: {exc}") from exc
-            if not data:
-                raise ConnectionLost("peer closed the connection")
-            self.bytes_in += len(data)
-            self.last_recv = time.monotonic()
-            self._decoder.feed(data)
-            ok, msg = self._decoder.pop()
-            if ok:
-                self.frames_in += 1
-                return True, msg
 
     # -- teardown ----------------------------------------------------------
     def abort(self) -> None:

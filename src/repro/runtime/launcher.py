@@ -172,7 +172,6 @@ def run_app(
     shard_strategy: str = "contiguous",
     shard_backend: str = "process",
     shard_partition: "list[list[int]] | None" = None,
-    shard_fence_impl: str = "incremental",
     shard_hosts: "typing.Sequence | None" = None,
     shard_transport: "typing.Any | None" = None,
     tracer: "Tracer | None" = None,
@@ -200,9 +199,18 @@ def run_app(
     phase spans -- ``launcher.build`` / ``launcher.run`` /
     ``launcher.finalize`` here, coordinator and per-shard spans in the
     sharded path -- with zero cost and bit-identical reports when absent.
+    ``shard_sync`` names the shard pacing protocol; only ``"window"``
+    (barrier rounds) exists.  The keyword stays because the wall-time
+    benchmark (``perfbench/workloads.py``) passes it; any other value
+    raises :class:`ValueError`.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
+    if shard_sync != "window":
+        raise ValueError(
+            f"shard_sync must be 'window' (the only shard sync protocol), "
+            f"got {shard_sync!r}"
+        )
     if shards is not None:
         from repro.sim.parallel import run_app_sharded
 
@@ -212,9 +220,8 @@ def run_app(
             label=label, app_args=app_args, seed=seed,
             record_transfers=record_transfers,
             telemetry=telemetry, metrics=metrics, watchdog=watchdog,
-            sync=shard_sync, strategy=shard_strategy,
+            strategy=shard_strategy,
             backend=shard_backend, partition=shard_partition,
-            fence_impl=shard_fence_impl,
             hosts=shard_hosts, transport=shard_transport,
             tracer=tracer,
         )

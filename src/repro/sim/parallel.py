@@ -15,18 +15,12 @@ and its effect (per-message overhead plus jitter-reduced latency, or the
 RDMA-read request latency, whichever is smaller).  If every shard has
 executed up to ``T`` and the earliest pending event anywhere is
 ``T_min``, then no message generated from here on can take effect before
-``T_min + LA`` -- so every shard may safely run to that *fence*.  Two
-protocols expose this bound:
-
-* ``sync="window"``: global barrier rounds.  Each round computes
-  ``T_min`` over all shards (and in-flight messages), grants every shard
-  a window ``[now, fence)``, collects generated messages, repeats.
-  Because ``T_min`` is the true next event time, idle gaps are skipped in
-  one hop (time windows never creep through empty regions).
-* ``sync="null"``: the same bound, granted asynchronously -- shards are
-  re-armed the moment their fence improves, without waiting for the
-  slowest shard each round (a parent-mediated variant of null-message
-  pacing).  Results are identical; only scheduling differs.
+``T_min + LA`` -- so every shard may safely run to that *fence*.  The
+coordinator paces shards in global barrier rounds: each round computes
+``T_min`` over all shards (and in-flight messages), grants every shard a
+window ``[now, fence)``, collects generated messages, repeats.  Because
+``T_min`` is the true next event time, idle gaps are skipped in one hop
+(time windows never creep through empty regions).
 
 One message class undercuts ``LA``: an RDMA-write placement ACK takes
 effect only ``wire_time(nbytes)`` after the placement event that emits
@@ -513,10 +507,7 @@ class _SocketHandle:
     engine window does not read as death, but a wedged or vanished
     worker does, within the deadline.  EOF maps to an immediate
     :class:`ShardHostLost` ("connection-lost"); silence maps to one with
-    "heartbeat-timeout".  The null protocol's readiness loop uses
-    :meth:`collect_ready`, which drains whatever bytes have arrived
-    without blocking -- a ready socket may hold only a heartbeat or half
-    a reply.
+    "heartbeat-timeout".
     """
 
     def __init__(self, task: _ShardTask, sock: socket.socket, host: str,
@@ -602,42 +593,13 @@ class _SocketHandle:
         self.payload_bytes += _wire.frame_nbytes(frame)
         self._send(("advance", fence, frame))
 
-    def _adopt_reply(self, reply: _AdvanceReply) -> _AdvanceReply:
+    def collect(self) -> _AdvanceReply:
+        reply = self._expect("reply")
         self.payload_bytes += _wire.frame_nbytes(reply.msgs)
         reply = reply._replace(msgs=_wire.unpack_frame(reply.msgs))
         self.events = reply.events
         self.busy = reply.busy
         return reply
-
-    def collect(self) -> _AdvanceReply:
-        return self._adopt_reply(self._expect("reply"))
-
-    def collect_ready(self) -> "_AdvanceReply | None":
-        while True:
-            try:
-                ok, msg = self.stream.try_recv()
-            except _tp.ConnectionLost as exc:
-                raise self._lost("connection-lost", str(exc)) from exc
-            if not ok:
-                return None
-            op = msg[0]
-            if op == "hb":
-                self.heartbeats += 1
-                continue
-            if op == "error":
-                raise ShardError(f"shard worker failed:\n{msg[1]}")
-            if op != "reply":
-                raise ShardError(
-                    f"protocol error: expected 'reply', got {op!r}")
-            return self._adopt_reply(msg[1])
-
-    def check_alive(self) -> None:
-        silent = time.monotonic() - self.stream.last_recv
-        if silent > self.options.host_timeout:
-            raise self._lost(
-                "heartbeat-timeout",
-                f"no frame for {silent:.1f}s "
-                f"(host_timeout={self.options.host_timeout:.1f}s)")
 
     def finish(self, final_time: float) -> _ShardResult:
         self._send(("finish", final_time))
@@ -701,7 +663,7 @@ class _SocketHandle:
 # -- coordinator -----------------------------------------------------------
 
 class _Coordinator:
-    """Conservative-fence bookkeeping shared by both sync protocols.
+    """Conservative-fence bookkeeping for the barrier-round loop.
 
     Every per-round quantity is maintained *incrementally* so one
     synchronization round costs O(shards), never O(shards²) and never a
@@ -717,11 +679,7 @@ class _Coordinator:
       and refreshed from a per-creditor lazy-deletion min-heap only when
       an ACK retires (each obligation is pushed and popped exactly once
       over its lifetime, so the amortized cost is O(log m) -- not the
-      O(shards * m) full scan the per-shard fence cap used to pay);
-    * a ``fences_dirty`` short-circuit -- :meth:`fences_now` returns the
-      cached fence vector untouched while no input (next events, inboxes,
-      obligations) changed, which the null-message protocol hits whenever
-      it re-arms without new replies.
+      O(shards * m) full scan the per-shard fence cap used to pay).
 
     The contiguous layout is load-bearing, not a style choice: a fence
     recompute runs once per round, right after a context switch or a
@@ -732,18 +690,11 @@ class _Coordinator:
     """
 
     def __init__(self, handles: list, shard_of: list[int],
-                 params: NetworkParams, la: float,
-                 fence_impl: str = "incremental") -> None:
-        if fence_impl not in ("incremental", "reference"):
-            raise ValueError(
-                f"fence_impl must be 'incremental' or 'reference', "
-                f"got {fence_impl!r}"
-            )
+                 params: NetworkParams, la: float) -> None:
         self.handles = handles
         self.shard_of = shard_of
         self.params = params
         self.la = la
-        self.fence_impl = fence_impl
         n = len(handles)
         self.nshards = n
         #: Bound vectors, contiguous: ``[0:n)`` next pending event per
@@ -765,15 +716,6 @@ class _Coordinator:
         ]
         self.rounds = 0
         self.messages = 0
-        #: Rounds whose fence vector was recomputed (cache misses).
-        self.fence_recomputes = 0
-        self._fences_cache: "list[float] | None" = None
-        # Bind the selected implementation once: the per-round call goes
-        # straight to it with no string compare on the hot path.
-        self.fences_now = (
-            self._fences_incremental if fence_impl == "incremental"
-            else self._fences_ref_cached
-        )
         #: Global last-event time seen so far (the finalize anchor).
         self.tail = 0.0
 
@@ -810,7 +752,6 @@ class _Coordinator:
             if entry is None:
                 raise ShardError(f"unmatched placement ACK {key!r}")
             self._refresh_ob_floor(entry[0])
-        self._fences_cache = None
 
     def _refresh_ob_floor(self, shard: int) -> None:
         """Recompute the obligation floor after an obligation retired.
@@ -839,7 +780,7 @@ class _Coordinator:
         """
         return min(self._bounds[:2 * self.nshards])
 
-    def _fences_incremental(self) -> list[float]:
+    def fences_now(self) -> list[float]:
         """Per-shard CMB fences from the current conservative bounds.
 
         Static bound ``s[j]``: the earliest *known* work for shard ``j``
@@ -865,12 +806,10 @@ class _Coordinator:
         values of the underlying vector (the min over ``k != j`` is the
         global minimum unless ``j`` holds it, in which case it is the
         runner-up), so one call is a constant number of O(shards) passes
-        -- identical floats to the reference nested-scan formulation,
-        verified by the differential tests in ``tests/test_sim_parallel``.
+        -- identical floats to the O(shards²) nested-scan formulation kept
+        as the test oracle (``tests/oracles.py``), which the differential
+        tests in ``tests/test_sim_parallel`` compare round by round.
         """
-        cached = self._fences_cache
-        if cached is not None:
-            return cached
         n = self.nshards
         n2 = 2 * n
         la = self.la
@@ -913,59 +852,10 @@ class _Coordinator:
                 b2 = v
         # Pass 3: everyone-else bound plus lookahead, capped by own
         # outstanding obligation horizons.
-        fences = [
+        return [
             min((b2 if i == bi1 else b1) + la, bounds[n2 + i])
             for i in range(n)
         ]
-        self._fences_cache = fences
-        self.fence_recomputes += 1
-        return fences
-
-    def _fences_ref_cached(self) -> list[float]:
-        """:meth:`fences_reference` behind the same recompute cache."""
-        cached = self._fences_cache
-        if cached is not None:
-            return cached
-        fences = self.fences_reference()
-        self._fences_cache = fences
-        self.fence_recomputes += 1
-        return fences
-
-    def fences_reference(self) -> list[float]:
-        """The O(shards²) nested-scan fence formulation, kept as referee.
-
-        Bit-for-bit the pre-optimization :meth:`fences_now`: the
-        differential tests assert the incremental path returns the same
-        floats, and ``benchmarks/test_shard_scale.py`` runs the whole
-        workload under ``fence_impl="reference"`` to quantify the win.
-        """
-        n = self.nshards
-        la = self.la
-        s = list(self._bounds[:n])
-        for j, box in enumerate(self.inbox):
-            for msg in box:
-                if msg.when < s[j]:
-                    s[j] = msg.when
-        for creditor, horizon in self.obligations.values():
-            if horizon < s[creditor]:
-                s[creditor] = horizon
-        b = [
-            min(
-                s[j],
-                min(
-                    (s[k] for k in range(n) if k != j), default=_INF
-                ) + la,
-            )
-            for j in range(n)
-        ]
-        fences = []
-        for i in range(n):
-            f = min((b[j] for j in range(n) if j != i), default=_INF) + la
-            for creditor, horizon in self.obligations.values():
-                if creditor == i and horizon < f:
-                    f = horizon
-            fences.append(f)
-        return fences
 
     def absorb(self, shard: int, reply: _AdvanceReply) -> None:
         self._bounds[shard] = reply.next_event
@@ -973,7 +863,6 @@ class _Coordinator:
             self.tail = reply.tail
         for msg in reply.msgs:
             self.route(msg)
-        self._fences_cache = None
 
     def grant(self, shard: int, fence: float) -> None:
         msgs = self.inbox[shard]
@@ -988,7 +877,6 @@ class _Coordinator:
             bounds[shard] = bounds[im]
         bounds[im] = _INF
         self.fences[shard] = fence
-        self._fences_cache = None
         self.handles[shard].advance_async(fence, msgs)
 
     def done(self) -> bool:
@@ -1001,7 +889,7 @@ def _coordinate_window(co: _Coordinator, tracer=None) -> None:
     """Global barrier rounds: grant every eligible shard, collect all.
 
     With a ``tracer``, each round records three spans: ``coord.fence``
-    (the O(shards²) bound recomputation), ``coord.dispatch`` (issuing
+    (the O(shards) bound recomputation), ``coord.dispatch`` (issuing
     grants -- with the inline backend this *is* shard execution, so the
     explain CLI treats it like wait time), and ``coord.wait`` (blocking
     on shard replies).
@@ -1043,83 +931,6 @@ def _coordinate_window(co: _Coordinator, tracer=None) -> None:
             ch_wait.append(tc)
             ch_wait.append(td)
         co.rounds += 1
-
-
-def _coordinate_null(co: _Coordinator, tracer=None) -> None:
-    """Asynchronous pacing: re-arm each shard as soon as its fence moves.
-
-    The fence bound is the same as the window protocol's; what changes is
-    that a shard with a bigger safe window keeps running while slower
-    shards catch up, instead of everyone pausing at a global barrier --
-    the coordinator plays the role null messages play in CMB-style
-    distributed simulations.
-
-    Runs over :class:`_SocketHandle` shards: the wait times out at the
-    heartbeat period so liveness is re-checked between replies, a wake-up
-    may carry only a heartbeat (``collect_ready`` returns ``None``), and
-    a shard gone silent raises :class:`ShardHostLost` within
-    ``host_timeout``.
-    """
-    from multiprocessing.connection import wait as mp_wait
-
-    handles = co.handles
-    n = len(handles)
-    shard_of_sock = {h.stream.sock: i for i, h in enumerate(handles)}
-    poll = handles[0].options.heartbeat_interval
-    if tracer is not None:
-        ch_fence = tracer.channel("fences", "coord.fence")
-        ch_disp = tracer.channel("dispatch", "coord.dispatch")
-        ch_wait = tracer.channel("wait", "coord.wait")
-    busy: set[int] = set()
-    while True:
-        granted = 0
-        cand = co.horizon_min()
-        if cand == _INF and not busy:
-            if not co.obligations:
-                return
-            raise ShardError(
-                "sync wedged: obligations outstanding with no pending events"
-            )
-        if cand != _INF:
-            ta = tracer.now() if tracer is not None else 0.0
-            safe = co.fences_now()
-            tb = tracer.now() if tracer is not None else 0.0
-            for i in range(n):
-                if i in busy:
-                    continue
-                fence = safe[i]
-                if co.inbox[i] or fence > co.fences[i]:
-                    co.grant(i, max(fence, co.fences[i]))
-                    busy.add(i)
-                    granted += 1
-            if tracer is not None:
-                tc = tracer.now()
-                ch_fence.append(ta)
-                ch_fence.append(tb)
-                ch_disp.append(tb)
-                ch_disp.append(tc)
-        if not busy:
-            if granted == 0:
-                raise ShardError("sync stalled: no shard can advance")
-            continue
-        tw = tracer.now() if tracer is not None else 0.0
-        ready = mp_wait([handles[i].stream.sock for i in busy], timeout=poll)
-        if tracer is not None:
-            ch_wait.append(tw)
-            ch_wait.append(tracer.now())
-        absorbed = 0
-        for sock in ready:
-            shard = shard_of_sock[sock]
-            reply = handles[shard].collect_ready()
-            if reply is None:
-                continue
-            co.absorb(shard, reply)
-            busy.discard(shard)
-            absorbed += 1
-        for i in tuple(busy):
-            handles[i].check_alive()
-        if absorbed:
-            co.rounds += 1
 
 
 # -- launcher --------------------------------------------------------------
@@ -1206,13 +1017,11 @@ def run_app_sharded(
     telemetry: object = None,
     metrics: object = None,
     watchdog: object = None,
-    sync: str = "window",
     strategy: str = "contiguous",
     backend: str = "process",
     partition: "list[list[int]] | None" = None,
     edges: "typing.Iterable[tuple] | None" = None,
     tracer: "typing.Any | None" = None,
-    fence_impl: str = "incremental",
     hosts: "typing.Sequence | None" = None,
     transport: "typing.Any | None" = None,
 ) -> "RunResult":
@@ -1225,7 +1034,7 @@ def run_app_sharded(
     in this process (deterministic and fast to spawn -- the default for
     tests), ``"process"`` forks one worker per shard on one end of a
     ``socketpair`` (spawn where fork is unavailable).  See the module
-    docstring for the ``sync`` protocols.
+    docstring for the barrier-round synchronization.
 
     ``tracer`` (optional :class:`~repro.tracing.Tracer`) records
     coordinator phase spans (fence recompute, dispatch, reply wait,
@@ -1237,11 +1046,7 @@ def run_app_sharded(
     Out-of-process backends always ship each round's cross-shard message
     lists as columnar wire frames (:mod:`repro.netsim.wire`) -- thousands
     of per-message pickles collapse to a handful of ``struct`` calls,
-    with decoded lists bit-identical to the originals.  ``fence_impl``
-    selects the coordinator's fence math:
-    ``"incremental"`` (default, O(shards) per round) or ``"reference"``
-    (the O(shards²) nested-scan formulation, kept for differential tests
-    and the before/after benchmark).  Both return identical floats.
+    with decoded lists bit-identical to the originals.
 
     ``backend="socket"`` drives workers started elsewhere with
     ``python -m repro.sim.remote --listen`` (possibly on other hosts):
@@ -1268,8 +1073,6 @@ def run_app_sharded(
                 f"{name} is not supported with shards (it assumes one "
                 "engine); run single-process or drop the option"
             )
-    if sync not in ("window", "null"):
-        raise ValueError(f"sync must be 'window' or 'null', got {sync!r}")
     if backend not in ("process", "inline", "socket"):
         raise ValueError(
             f"backend must be 'process', 'inline', or 'socket', "
@@ -1301,7 +1104,7 @@ def run_app_sharded(
             shard_of[r] = s
     table = xfer_table or default_xfer_table(params)
     sp_run = (tracer.begin("sharded run", "coord.run", shards=nshards,
-                           sync=sync, backend=backend)
+                           backend=backend)
               if tracer is not None else None)
     tasks = [
         _ShardTask(
@@ -1341,16 +1144,10 @@ def run_app_sharded(
                     raise ShardError(
                         f"shard {i} worker {host}:{port}: {exc}"
                     ) from exc
-        co = _Coordinator(handles, shard_of, params, la,
-                          fence_impl=fence_impl)
+        co = _Coordinator(handles, shard_of, params, la)
         try:
             co.begin()
-            if sync == "null" and backend != "inline":
-                _coordinate_null(co, tracer)
-            else:
-                # The inline backend steps shards sequentially, so barrier
-                # rounds and asynchronous pacing coincide.
-                _coordinate_window(co, tracer)
+            _coordinate_window(co, tracer)
             sp_fin = (tracer.begin("finalize shards", "coord.finish")
                       if tracer is not None else None)
             results = [h.finish(co.tail) for h in handles]
@@ -1425,7 +1222,6 @@ def run_app_sharded(
     result.compute_logs = compute_logs
     result.shard_stats = shard_stats
     result.sync_stats = {
-        "mode": sync,
         "backend": backend,
         "shards": nshards,
         "lookahead": la,
@@ -1434,8 +1230,6 @@ def run_app_sharded(
         "host_elapsed_s": host_elapsed,
         "events": sum(res.events for res in results),
         "busy_s": [res.busy for res in results],
-        "fence_impl": fence_impl,
-        "fence_recomputes": co.fence_recomputes,
     }
     if tstats is not None:
         result.sync_stats["transport"] = {

@@ -63,10 +63,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "once single-process and once with this many "
                         "shards (channel delivery on both sides) and "
                         "print the per-measure equality report")
-    parser.add_argument("--shard-sync", choices=("window", "null"),
-                        default="window",
-                        help="shard synchronization protocol for "
-                        "--compare --shards")
     return parser
 
 
@@ -94,12 +90,11 @@ def _compare(args: argparse.Namespace) -> int:
         fast, packet = run_sharded_pair(
             app, args.nprocs, args.shards, app_args=app_args,
             label=f"{args.benchmark}.{args.klass}.{args.nprocs}",
-            sync=args.shard_sync,
         )
         host["both"] = time.perf_counter() - t0
         deltas = compare_sharded(fast, packet)
         sides = ("single", "sharded")
-        axis = (f"single vs {args.shards} shards, sync={args.shard_sync}")
+        axis = f"single vs {args.shards} shards"
         fail_hint = ("the sharded engine is NOT safe on this workload; run "
                      "without --shards and report a bug")
         ok_line = ("OK: the sharded engine is bit-identical on this "

@@ -1,22 +1,32 @@
-"""Straightforward reference implementation of the overlap processor.
+"""Correctness oracles for the differential tests.
 
-This is the unoptimized formulation of Sec. 2.2: every event walks the
-set of active transfers and appends the interval to each one's own list;
-at ``XFER_END`` the interleaved computation / in-library windows are the
-exact (``math.fsum``) totals of those lists.  It is retained purely as a
-differential-testing oracle for the optimized
-:class:`repro.core.processor.DataProcessor`, whose cumulative-clock
-subtraction produces the correctly rounded value of the same exact real
-sum -- so the two implementations must agree *bit for bit* on every
-measure.  See ``tests/test_property_processor_diff.py``.
+Straightforward reference formulations of two optimized hot paths, kept
+next to the tests that referee them instead of in the shipped package:
 
-Do not use this in production paths: it is O(active transfers) per event
-and keeps one list per active transfer.
+* :class:`ReferenceDataProcessor` -- the unoptimized overlap processor of
+  Sec. 2.2.  Every event walks the set of active transfers and appends
+  the interval to each one's own list; at ``XFER_END`` the interleaved
+  computation / in-library windows are the exact (``math.fsum``) totals
+  of those lists.  The optimized :class:`repro.core.processor.DataProcessor`
+  produces the correctly rounded value of the same exact real sum by
+  cumulative-clock subtraction, so the two must agree *bit for bit* on
+  every measure (``tests/test_property_processor_diff.py``).  It is
+  O(active transfers) per event and keeps one list per active transfer.
+* :func:`fences_reference` -- the O(shards²) nested-scan formulation of
+  the sharded coordinator's conservative fences, which rescans every
+  boxed message and outstanding obligation.  The incremental
+  :meth:`repro.sim.parallel._Coordinator.fences_now` must return the
+  same floats.  :func:`reference_fences` runs whole coordinators on the
+  oracle (differential tests and the ``shard_fence`` benchmark);
+  :func:`audited_fences` runs the incremental path and checks every
+  round against the oracle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import struct
 import typing
 
 from repro.core.events import EventKind, TimedEvent
@@ -29,7 +39,12 @@ from repro.core.measures import (
 )
 from repro.core.processor import CallStats, InstrumentationError, _TIME_EPS
 from repro.core.xfer_table import XferTable
+from repro.sim.parallel import _Coordinator
 
+_INF = float("inf")
+
+
+# -- overlap processor -------------------------------------------------------
 
 class _RefActiveXfer:
     """Active transfer carrying its own per-interval attribution lists."""
@@ -215,3 +230,93 @@ class ReferenceDataProcessor:
     @property
     def in_call(self) -> bool:
         return self._depth > 0
+
+
+# -- sharded coordinator fences ---------------------------------------------
+
+def fences_reference(co: _Coordinator) -> list[float]:
+    """The O(shards²) nested-scan fence formulation of ``co``'s state.
+
+    Bit-for-bit the pre-optimization ``fences_now``: static bounds from
+    every boxed message and obligation, the fixpoint by explicit
+    "everyone else" scans, then each shard's own obligation cap.
+    """
+    n = co.nshards
+    la = co.la
+    s = list(co._bounds[:n])
+    for j, box in enumerate(co.inbox):
+        for msg in box:
+            if msg.when < s[j]:
+                s[j] = msg.when
+    for creditor, horizon in co.obligations.values():
+        if horizon < s[creditor]:
+            s[creditor] = horizon
+    b = [
+        min(
+            s[j],
+            min(
+                (s[k] for k in range(n) if k != j), default=_INF
+            ) + la,
+        )
+        for j in range(n)
+    ]
+    fences = []
+    for i in range(n):
+        f = min((b[j] for j in range(n) if j != i), default=_INF) + la
+        for creditor, horizon in co.obligations.values():
+            if creditor == i and horizon < f:
+                f = horizon
+        fences.append(f)
+    return fences
+
+
+@contextlib.contextmanager
+def _fences_now_as(impl: typing.Callable) -> typing.Iterator[None]:
+    saved = _Coordinator.fences_now
+    _Coordinator.fences_now = impl  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        _Coordinator.fences_now = saved  # type: ignore[method-assign]
+
+
+def reference_fences() -> typing.ContextManager[None]:
+    """Run every coordinator inside the block on :func:`fences_reference`.
+
+    The coordinator lives in the calling process for every backend, so
+    this covers inline, process and socket runs alike.
+    """
+    return _fences_now_as(fences_reference)
+
+
+@contextlib.contextmanager
+def audited_fences() -> typing.Iterator[list]:
+    """Check the incremental fences against the oracle on every round.
+
+    Yields a list that collects one ``(fences, ob_floors)`` pair per
+    round: the fence vector and each shard's earliest outstanding
+    placement-ACK horizon (``inf`` when none).  A round whose incremental
+    fences differ from :func:`fences_reference` in any bit raises
+    :class:`AssertionError` out of the run.
+    """
+    incremental = _Coordinator.fences_now
+    rounds: list[tuple[list[float], list[float]]] = []
+
+    def checked(co: _Coordinator) -> list[float]:
+        got = incremental(co)
+        want = fences_reference(co)
+        if _bits(got) != _bits(want):
+            raise AssertionError(
+                f"round {len(rounds)}: incremental fences {got!r} != "
+                f"reference {want!r}"
+            )
+        n = co.nshards
+        rounds.append((got, list(co._bounds[2 * n:3 * n])))
+        return got
+
+    with _fences_now_as(checked):
+        yield rounds
+
+
+def _bits(values: typing.Sequence[float]) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)

@@ -36,6 +36,7 @@ from repro.sim.parallel import (
     partition_ranks,
     run_app_sharded,
 )
+from tests.oracles import audited_fences, reference_fences
 
 _TAG = 61
 
@@ -118,10 +119,16 @@ def test_unsupported_observers_raise():
 
     with pytest.raises(ValueError, match="metrics"):
         run_app(_pair_app, 4, shards=2, metrics=MetricsRegistry())
-    with pytest.raises(ValueError, match="sync"):
-        run_app_sharded(_pair_app, 4, 2, sync="optimistic")
     with pytest.raises(ValueError, match="backend"):
         run_app_sharded(_pair_app, 4, 2, backend="thread")
+
+
+def test_shard_sync_accepts_only_window():
+    # Barrier rounds are the one pacing protocol; run_app keeps the
+    # keyword for existing callers and rejects every other name.
+    with pytest.raises(ValueError, match="shard_sync"):
+        run_app(_pair_app, 4, shards=2, shard_backend="inline",
+                shard_sync="null")
 
 
 def test_zero_lookahead_rejected():
@@ -158,11 +165,6 @@ def test_cross_shard_traffic_counted():
     assert result.sync_stats["messages"] > 0
 
 
-def test_null_sync_matches_single():
-    assert_sharded_identical(halo_app, 6, 3, backend="inline", sync="null",
-                             app_args=(3, 2048.0, 15.0e-6))
-
-
 def test_process_backend_matches_single():
     assert_sharded_identical(halo_app, 4, 2, backend="process",
                              app_args=(3, 1024.0, 15.0e-6))
@@ -192,16 +194,15 @@ _CONFIGS = (
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     jitter=st.sampled_from((0.0, 0.25)),
     nbytes=st.sampled_from((64.0, 1024.0, 8192.0)),
-    sync=st.sampled_from(("window", "null")),
 )
 def test_hypothesis_sharded_bit_identical(nprocs, shards, config, seed,
-                                          jitter, nbytes, sync):
+                                          jitter, nbytes):
     """Random small configs: sharded reports must equal single-process."""
     params = NetworkParams(latency_jitter_frac=jitter)
     assert_sharded_identical(
         halo_app, nprocs, shards, config=config,
         params=dataclasses.replace(params),
-        app_args=(3, nbytes, 12.0e-6), seed=seed, sync=sync,
+        app_args=(3, nbytes, 12.0e-6), seed=seed,
         backend="inline", record_transfers=True,
     )
 
@@ -317,13 +318,12 @@ def test_hypothesis_wire_codec_round_trip(msgs):
 
 # ----------------------------------------------------- high-rank differential
 
-@pytest.mark.parametrize("sync", ("window", "null"))
-def test_high_rank_process_backend_matches_single(sync):
+def test_high_rank_process_backend_matches_single():
     # 256 ranks through forked workers exercises the batched wire frames
     # end to end (RDMA-write eager mode floods the coordinator with
     # PLACE/ACK obligations as well as hot eager deliveries).
     assert_sharded_identical(
-        halo_app, 256, 4, backend="process", sync=sync,
+        halo_app, 256, 4, backend="process",
         config=mvapich2_like(), app_args=(3, 2048.0, 15.0e-6),
     )
 
@@ -332,13 +332,12 @@ def test_high_rank_process_backend_matches_single(sync):
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    sync=st.sampled_from(("window", "null")),
     config=st.sampled_from((_CONFIGS[0], mvapich2_like())),
 )
-def test_hypothesis_high_rank_bit_identical(seed, sync, config):
-    """256-rank sharded runs must equal single-process, any seed/sync."""
+def test_hypothesis_high_rank_bit_identical(seed, config):
+    """256-rank sharded runs must equal single-process, any seed."""
     assert_sharded_identical(
-        halo_app, 256, 4, config=config, seed=seed, sync=sync,
+        halo_app, 256, 4, config=config, seed=seed,
         backend="inline", app_args=(2, 2048.0, 10.0e-6),
     )
 
@@ -367,12 +366,11 @@ def _raises_app(ctx):
     return result
 
 
-@pytest.mark.parametrize("sync", ("window", "null"))
-def test_process_worker_death_is_host_loss(sync):
+def test_process_worker_death_is_host_loss():
     t0 = time.monotonic()
     with pytest.raises(ShardHostLost) as info:
         run_app_sharded(_dies_mid_run_app, 4, 2, backend="process",
-                        sync=sync, config=mvapich2_like(), transport=_FAST)
+                        config=mvapich2_like(), transport=_FAST)
     # EOF is seen at once, well inside the silence budget.
     assert time.monotonic() - t0 < _FAST.host_timeout + 5.0
     exc = info.value
@@ -395,37 +393,59 @@ def test_process_worker_error_is_plain_shard_error():
     assert "ValueError: rank 3 app bug" in str(info.value)
 
 
-# ------------------------------------------------- fence implementations
+# ------------------------------------------------------- fence oracle
 
 def test_reference_fence_impl_matches_single():
-    assert_sharded_identical(
-        halo_app, 12, 3, backend="inline", fence_impl="reference",
-        config=mvapich2_like(), app_args=(4, 2048.0, 15.0e-6),
-    )
+    with reference_fences():
+        assert_sharded_identical(
+            halo_app, 12, 3, backend="inline",
+            config=mvapich2_like(), app_args=(4, 2048.0, 15.0e-6),
+        )
 
 
 def test_fence_impls_bit_identical():
     # The incremental fence computation must drive byte-for-byte the same
-    # schedule as the quadratic reference: same fences, same rounds, same
-    # reports.
-    runs = {}
-    for impl in ("incremental", "reference"):
-        runs[impl] = run_app(
+    # schedule as the quadratic reference: same rounds, same reports.
+    def run():
+        return run_app(
             halo_app, 24, shards=3, shard_backend="inline",
-            shard_fence_impl=impl, config=mvapich2_like(),
-            app_args=(4, 2048.0, 15.0e-6),
+            config=mvapich2_like(), app_args=(4, 2048.0, 15.0e-6),
         )
-    inc, ref = runs["incremental"], runs["reference"]
+
+    inc = run()
+    with reference_fences():
+        ref = run()
     assert all(d.equal for d in compare_runs(inc, ref))
-    assert inc.sync_stats["rounds"] == ref.sync_stats["rounds"]
-    assert inc.sync_stats["fence_impl"] == "incremental"
-    assert inc.sync_stats["fence_recomputes"] > 0
+    assert inc.sync_stats["rounds"] == ref.sync_stats["rounds"] > 0
 
 
-def test_unknown_fence_impl_rejected():
-    with pytest.raises(ValueError, match="fence_impl"):
-        run_app_sharded(_pair_app, 4, 2, backend="inline",
-                        fence_impl="oracle")
+def test_fences_match_reference_every_round():
+    # A round-robin partition makes every halo edge cross-shard.  Under
+    # mvapich2_like, 512 B messages go RDMA-write eager (PLACE/ACK
+    # obligations in flight, small enough that an ACK horizon undercuts
+    # the lookahead) and 64 KiB ones go rget rendezvous (read requests
+    # and data across shards).  Latency jitter breaks the halo's symmetry,
+    # so shards sit at different clocks and the "everyone else" minimum
+    # differs from the global one.  Each round's incremental fences must
+    # equal the rescanning oracle's, float for float -- not just the
+    # run's final reports.
+    nprocs, shards = 24, 4
+    partition = [list(range(s, nprocs, shards)) for s in range(shards)]
+    capped = 0
+    for nbytes in (512.0, 65536.0):
+        with audited_fences() as rounds:
+            result = run_app_sharded(
+                halo_app, nprocs, shards, backend="inline",
+                partition=partition, config=mvapich2_like(),
+                params=NetworkParams(latency_jitter_frac=0.25), seed=7,
+                app_args=(3, nbytes, 15.0e-6),
+            )
+        assert len(rounds) == result.sync_stats["rounds"] > 0
+        capped += sum(f == floor for fences, floors in rounds
+                      for f, floor in zip(fences, floors))
+    # Some shard's fence was held to its own outstanding ACK horizon, so
+    # the obligation cap was exercised, not just present.
+    assert capped > 0
 
 
 # ----------------------------------------------------------- halo smoke CLI
@@ -461,11 +481,10 @@ def test_halo_cli_plain_run(capsys):
     from repro.experiments import halo
 
     rc = halo.main(["--ranks", "8", "--steps", "2", "--shards", "2",
-                    "--backend", "inline", "--sync", "null",
-                    "--fence-impl", "reference"])
+                    "--backend", "inline"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "halo 8 ranks" in out and "sync=null" in out
+    assert "halo 8 ranks" in out and "shards=2:" in out
 
 
 # ------------------------------------------------- event-queue pressure

@@ -5,9 +5,8 @@ subprocesses: the accept loop runs on a background thread, sessions on
 their own threads) and checks the coordinator-side contract of
 ``run_app_sharded(backend="socket")``:
 
-* results are **bit-identical** to the single-process ground truth under
-  both synchronization protocols -- the same differential referee the
-  fork backend passes;
+* results are **bit-identical** to the single-process ground truth --
+  the same differential referee the fork backend passes;
 * a worker that dies mid-run (deterministic ``drop-after`` fault) fails
   the run with :class:`ShardHostLost` *immediately* -- reason
   ``connection-lost`` -- never a hang;
@@ -53,21 +52,20 @@ _FAST = TransportOptions(
 )
 
 
-def _run_socket(hosts, sync="window", transport=_FAST, ranks=8, shards=2):
+def _run_socket(hosts, transport=_FAST, ranks=8, shards=2):
     return run_app(
         halo_app, ranks, config=mvapich2_like(), app_args=_APP_ARGS,
-        shards=shards, shard_sync=sync, shard_backend="socket",
+        shards=shards, shard_backend="socket",
         shard_hosts=hosts, shard_transport=transport,
     )
 
 
 # ---------------------------------------------------------------- bit identity
 
-@pytest.mark.parametrize("sync", ("window", "null"))
-def test_socket_backend_bit_identical(sync):
+def test_socket_backend_bit_identical():
     with WorkerServer() as w0, WorkerServer() as w1:
         assert_sharded_identical(
-            halo_app, 8, 2, backend="socket", sync=sync,
+            halo_app, 8, 2, backend="socket",
             config=mvapich2_like(), app_args=_APP_ARGS,
             hosts=[w0.address, w1.address], transport=_FAST,
         )
@@ -128,7 +126,7 @@ def test_stalled_worker_is_lost_within_host_timeout():
     with WorkerServer(fault_plan=plan) as bad, WorkerServer() as good:
         t0 = time.monotonic()
         with pytest.raises(ShardHostLost) as info:
-            _run_socket([bad.address, good.address], sync="null")
+            _run_socket([bad.address, good.address])
         elapsed = time.monotonic() - t0
     exc = info.value
     assert exc.reason == "heartbeat-timeout"
